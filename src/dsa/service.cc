@@ -186,28 +186,32 @@ QueryService::Shard& QueryService::ShardForThisThread() {
   return *shards_[PairKeyHash{}(static_cast<uint64_t>(raw)) % shards_.size()];
 }
 
+bool QueryService::FailIfInvalid(const Query& query,
+                                 std::promise<Weight>* promise) const {
+  // Validate at admission when the domain is known: one bad query must
+  // fail its own future, not trip the backend's TCF_CHECK on a flush
+  // worker and take the whole service down.
+  if (validate_num_nodes_ == 0) return false;
+  if (query.from >= validate_num_nodes_ || query.to >= validate_num_nodes_) {
+    promise->set_exception(std::make_exception_ptr(
+        std::out_of_range("query endpoint out of range")));
+    return true;
+  }
+  if (query.kind == QueryKind::kRoute && !routes_supported_) {
+    promise->set_exception(std::make_exception_ptr(std::out_of_range(
+        "route queries require complementary information")));
+    return true;
+  }
+  return false;
+}
+
 std::optional<std::future<Weight>> QueryService::Admit(Query query,
                                                        bool blocking) {
   Pending pending;
   pending.query = query;
   pending.submit_time = std::chrono::steady_clock::now();
   std::future<Weight> future = pending.promise.get_future();
-
-  // Validate at admission when the domain is known: one bad query must
-  // fail its own future, not trip the backend's TCF_CHECK on a flush
-  // worker and take the whole service down.
-  if (validate_num_nodes_ > 0) {
-    if (query.from >= validate_num_nodes_ || query.to >= validate_num_nodes_) {
-      pending.promise.set_exception(std::make_exception_ptr(
-          std::out_of_range("query endpoint out of range")));
-      return future;
-    }
-    if (query.kind == QueryKind::kRoute && !routes_supported_) {
-      pending.promise.set_exception(std::make_exception_ptr(std::out_of_range(
-          "route queries require complementary information")));
-      return future;
-    }
-  }
+  if (FailIfInvalid(query, &pending.promise)) return future;
 
   Shard& shard = ShardForThisThread();
   bool ring = false;
@@ -266,8 +270,47 @@ std::vector<std::future<Weight>> QueryService::SubmitBatch(
     const std::vector<Query>& queries) {
   std::vector<std::future<Weight>> futures;
   futures.reserve(queries.size());
+  std::vector<Pending> valid;
+  valid.reserve(queries.size());
+  const auto now = std::chrono::steady_clock::now();
   for (const Query& q : queries) {
-    futures.push_back(*Admit(q, /*blocking=*/true));
+    Pending pending;
+    pending.query = q;
+    pending.submit_time = now;
+    futures.push_back(pending.promise.get_future());
+    if (!FailIfInvalid(q, &pending.promise)) {
+      valid.push_back(std::move(pending));
+    }
+  }
+
+  // Admit as much of the batch as the shard holds under ONE lock and ring
+  // once, so no flush worker sees a partial batch and flushes it early;
+  // block only for the remainder when the shard fills. The doorbell rings
+  // after the lock is released (flush workers take shard locks while
+  // holding the doorbell mutex), and before any wait for space, so the
+  // workers drain what was admitted.
+  Shard& shard = ShardForThisThread();
+  size_t next = 0;
+  while (next < valid.size()) {
+    {
+      std::unique_lock<std::mutex> lock(shard.mutex);
+      shard.space_cv.wait(lock, [&]() {
+        return shard.queue.size() < options_.queue_capacity || shard.stopping;
+      });
+      if (shard.stopping) break;
+      const size_t take = std::min(options_.queue_capacity - shard.queue.size(),
+                                   valid.size() - next);
+      for (size_t k = 0; k < take; ++k) {
+        shard.queue.push_back(std::move(valid[next++]));
+      }
+      shard.submitted += take;
+      pending_.fetch_add(take, std::memory_order_relaxed);
+    }
+    RingDoorbell();
+  }
+  for (; next < valid.size(); ++next) {
+    valid[next].promise.set_exception(std::make_exception_ptr(
+        std::runtime_error("QueryService is shut down")));
   }
   return futures;
 }
@@ -471,8 +514,25 @@ void QueryService::UpdateLoop() {
   }
 }
 
+void QueryService::FinishExecuting() {
+  if (executing_.fetch_sub(1) != 1) return;
+  // The last executing batch is done: workers coalescing behind it flush
+  // now. Read pending_ under the doorbell mutex, so either a coalescing
+  // worker sees executing_ == 0 before it sleeps, or this read sees the
+  // entries it is waiting on and the notify wakes it.
+  bool ring;
+  {
+    std::lock_guard<std::mutex> doorbell(flush_mutex_);
+    ring = pending_.load(std::memory_order_relaxed) > 0;
+  }
+  if (ring) flush_cv_.notify_all();
+}
+
 void QueryService::FlushWorkerLoop(size_t worker) {
   for (;;) {
+    // True when this worker took executing_ from 0 for the batch it is
+    // about to collect (see the idle flush below).
+    bool reserved = false;
     {
       std::unique_lock<std::mutex> lock(flush_mutex_);
       flush_cv_.wait(lock, [this]() {
@@ -481,34 +541,52 @@ void QueryService::FlushWorkerLoop(size_t worker) {
       });
       if (!stop_requested_.load(std::memory_order_acquire) &&
           pending_.load(std::memory_order_relaxed) < options_.max_batch) {
-        // Coalesce: sleep until the worker's own oldest entry has waited
-        // max_wait. A worker whose own group is empty coalesces toward
-        // the GLOBAL oldest entry's deadline instead — under saturation
-        // the size predicate below fires immediately and it steals right
-        // away; under a trickle the owner usually collects first and the
-        // thief's sweep comes up empty. Any entry a worker pops at its
-        // deadline is older than its own group's oldest, so the max_wait
-        // latency bound holds either way. The deadline is advisory: a
-        // concurrent popper may already have taken the entry behind it,
-        // which is why FlushDeadline clamps the max() sentinel instead of
-        // letting the addition overflow.
-        auto oldest = OldestSubmitTimeOf(group_shards_[worker]);
-        if (oldest == std::chrono::steady_clock::time_point::max()) {
-          oldest = OldestSubmitTimeOf(all_shards_);
-        }
-        const auto deadline = FlushDeadline(oldest, options_.max_wait);
-        if (deadline != std::chrono::steady_clock::time_point::max()) {
+        if (executing_.load() > 0) {
+          // Coalesce behind the batches in progress: sleep until the
+          // worker's own oldest entry has waited max_wait, or until the
+          // last executing batch finishes and its worker rings the
+          // doorbell. A worker whose own group is empty coalesces toward
+          // the GLOBAL oldest entry's deadline instead — under saturation
+          // the size predicate below fires immediately and it steals
+          // right away; under a trickle the owner usually collects first
+          // and the thief's sweep comes up empty. Any entry a worker pops
+          // at its deadline is older than its own group's oldest, so the
+          // max_wait latency bound holds either way. The deadline is
+          // advisory: a concurrent popper may already have taken the
+          // entry behind it, which is why FlushDeadline clamps the max()
+          // sentinel instead of letting the addition overflow.
+          auto oldest = OldestSubmitTimeOf(group_shards_[worker]);
+          if (oldest == std::chrono::steady_clock::time_point::max()) {
+            oldest = OldestSubmitTimeOf(all_shards_);
+          }
+          const auto deadline = FlushDeadline(oldest, options_.max_wait);
+          // Another popper emptied the queues: sleep again rather than
+          // collect, so an arrival in the meantime still coalesces.
+          if (deadline == std::chrono::steady_clock::time_point::max()) {
+            continue;
+          }
           flush_cv_.wait_until(lock, deadline, [this]() {
             return stop_requested_.load(std::memory_order_acquire) ||
                    pending_.load(std::memory_order_relaxed) >=
-                       options_.max_batch;
+                       options_.max_batch ||
+                   executing_.load() == 0;
           });
+        }
+        // Idle flush: with no micro-batch executing, waiting would only
+        // delay the queries, so the worker collects at once. It reserves
+        // the executing slot under the doorbell mutex, so the workers
+        // woken beside it see the backend busy and coalesce behind its
+        // batch instead of each flushing a sliver.
+        if (executing_.load() == 0) {
+          executing_.fetch_add(1);
+          reserved = true;
         }
       }
     }
 
     std::vector<Pending> admitted = CollectBatch(worker);
     if (admitted.empty()) {
+      if (reserved) FinishExecuting();
       // CollectBatch returns empty only after a sweep of EVERY shard
       // found nothing, so with stop_requested_ set there is nothing left
       // to drain (the shard-flag protocol in Shutdown() guarantees no
@@ -520,7 +598,9 @@ void QueryService::FlushWorkerLoop(size_t worker) {
     std::vector<Query> batch;
     batch.reserve(admitted.size());
     for (const Pending& p : admitted) batch.push_back(p.query);
+    if (!reserved) executing_.fetch_add(1);
     const std::vector<Result<Weight>> costs = backend_->ExecuteBatch(batch);
+    FinishExecuting();
     TCF_CHECK(costs.size() == admitted.size());
 
     // Record stats BEFORE fulfilling the promises: a client that wakes

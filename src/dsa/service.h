@@ -20,22 +20,33 @@
 // execute concurrently on a re-entrant backend. A worker whose own group is
 // empty *steals*: it sweeps every shard globally oldest-first, so a hot
 // shard group can never starve behind one busy worker while others idle.
-// With flush_workers == 1 the worker owns every shard and the service
-// reproduces the single-flush-thread semantics exactly: flush on size
-// (total pending ≥ max_batch) or on time window (oldest pending entry older
-// than max_wait). With more workers the same per-query latency bound holds
-// (a query is collected no later than max_wait after admission, by its
-// owner or by a thief), but a size-triggered flush coalesces per group, so
-// concurrent batches may each carry a fraction of the global backlog —
-// that is the point: fill is traded for parallel execution.
+//
+// The flush contract. A worker with queries pending flushes
+//   - at once when no micro-batch is executing (the *idle flush*: waiting
+//     would only delay the queries, nothing else needs the backend),
+//   - at once when total pending reaches max_batch (the *size flush*),
+//   - otherwise, while some batch executes, when the last executing batch
+//     finishes (its worker rings the doorbell) or when the oldest pending
+//     entry has waited max_wait (the *time window*), whichever is first.
+// So coalescing happens only behind work in progress: a lone query is
+// answered without sitting out max_wait, and under load the queries that
+// arrive while batches execute still leave together. With flush_workers
+// == 1 the worker owns every shard and collects from all of them. With
+// more workers the same per-query latency bound holds (a query is
+// collected no later than max_wait after admission, by its owner or by a
+// thief), but a size-triggered flush coalesces per group, so concurrent
+// batches may each carry a fraction of the global backlog — that is the
+// point: fill is traded for parallel execution. SubmitBatch admits a
+// pre-formed batch under one shard lock, so an idle flush never splits
+// what a caller handed over whole (max_batch still may).
 //
 // Admission policy (ServiceOptions):
 //   - max_batch:        flush as soon as this many queries are pending
 //                       across all shards,
-//   - max_wait:         flush a non-empty queue no later than this after
-//                       its oldest entry arrived — the latency bound: a
-//                       query's p99 latency is bounded by max_wait plus
-//                       one batch execution,
+//   - max_wait:         while a batch executes, flush a non-empty queue no
+//                       later than this after its oldest entry arrived —
+//                       the latency bound: a query's p99 latency is
+//                       bounded by max_wait plus one batch execution,
 //   - queue_capacity:   bounded admission queue, per shard. Submit*
 //                       blocks when its shard is full (closed-loop
 //                       backpressure); TrySubmit rejects and the
@@ -201,6 +212,11 @@ class SiteNetworkBackend : public ServiceBackend {
 /// Micro-batching policy of the admission loop; see the header comment.
 struct ServiceOptions {
   size_t max_batch = 64;
+  /// Coalescing window. It applies only while a micro-batch executes: a
+  /// query that arrives when the backend is idle is flushed at once, and
+  /// the end of the last executing batch also flushes. So max_wait bounds
+  /// how long a query can wait behind busy batches; it is not a delay
+  /// every query pays.
   std::chrono::microseconds max_wait{2000};
   /// Bounded admission-queue depth, PER SHARD (total admitted backlog is
   /// bounded by admission_shards * queue_capacity).
@@ -314,8 +330,10 @@ class QueryService {
   std::optional<std::future<Weight>> TrySubmit(NodeId from, NodeId to);
 
   /// Submit a pre-formed batch, keeping one future per query (in query
-  /// order). Blocks element-wise when the shard fills; the flush workers
-  /// may split or merge the batch with concurrent submissions.
+  /// order). The batch is admitted under one shard lock with one doorbell
+  /// ring, so an idle flush cannot split it; when the shard fills, only
+  /// the remainder blocks for space. The flush workers still split it at
+  /// max_batch and may merge it with concurrent submissions.
   std::vector<std::future<Weight>> SubmitBatch(
       const std::vector<Query>& queries);
 
@@ -397,12 +415,19 @@ class QueryService {
   /// validation error); non-blocking returns nullopt on a full shard
   /// (counted as a rejection) or after shutdown.
   std::optional<std::future<Weight>> Admit(Query query, bool blocking);
+  /// Fails `promise` with std::out_of_range and returns true when `query`
+  /// lies outside the validation domain (never, when it is unknown).
+  bool FailIfInvalid(const Query& query, std::promise<Weight>* promise) const;
   /// Wakes the flush workers reliably (see the definition for when
   /// submitters need to).
   void RingDoorbell();
   /// One flush worker: coalesce, collect (own group first, then steal),
   /// execute, fulfill. The last worker to exit freezes the stats clock.
   void FlushWorkerLoop(size_t worker);
+  /// Ends one executing micro-batch (or an idle-flush reservation whose
+  /// collect came up empty); the worker that takes executing_ to zero
+  /// rings the doorbell when queries are pending.
+  void FinishExecuting();
   /// The update applier: drains all pending updates as one maintenance
   /// epoch per wake, concurrently with the flush workers.
   void UpdateLoop();
@@ -472,9 +497,15 @@ class QueryService {
   /// while it holds its shard locks; the flush workers' sleep predicates
   /// read it as a lock-free hint (a collect sweep is the authority).
   std::atomic<size_t> pending_{0};
+  /// Micro-batches being executed right now, counting an idle-flush
+  /// worker from the moment it decides to flush. Zero means the backend is
+  /// idle, and a worker with pending queries flushes without coalescing;
+  /// the worker that takes it back to zero rings the doorbell.
+  std::atomic<size_t> executing_{0};
 
-  /// The flush workers' doorbell: submitters ring it after enqueueing;
-  /// workers sleep here between micro-batches. Guards no data — the
+  /// The flush workers' doorbell: submitters ring it after enqueueing, and
+  /// so does the worker that finishes the last executing batch; workers
+  /// sleep here between micro-batches. Guards no data — the
   /// predicates read the shard queues under their own locks.
   mutable std::mutex flush_mutex_;
   std::condition_variable flush_cv_;

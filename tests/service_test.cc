@@ -1,12 +1,14 @@
 // Tests for the streaming admission layer (dsa/service.h): answers match a
-// Floyd–Warshall min-plus oracle element-wise, micro-batches flush on size
-// and on the max_wait time window, the bounded queue rejects TrySubmit when
-// full, Shutdown drains every admitted query (and wakes submitters blocked
-// on backpressure), the sharded admission path and the parallel flush pool
-// keep ServiceStats totals scheduling-independent across shard and worker
-// counts (with elapsed_seconds frozen by the last worker to drain), and
-// the backend seam serves both the in-process database and the
-// message-passing SiteNetwork.
+// Floyd–Warshall min-plus oracle element-wise, micro-batches flush on size,
+// on the max_wait time window, and at once when the backend is idle (while
+// a busy backend still makes later queries coalesce), the bounded queue
+// rejects TrySubmit when full, Shutdown drains every admitted query (and
+// wakes submitters blocked on backpressure), the sharded admission path
+// and the parallel flush pool keep ServiceStats totals
+// scheduling-independent across shard and worker counts (with
+// elapsed_seconds frozen by the last worker to drain), and the backend
+// seam serves both the in-process database and the message-passing
+// SiteNetwork.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -206,6 +208,55 @@ class GatedBackend : public ServiceBackend {
   bool executing_ = false;
   bool released_ = false;
 };
+
+TEST(QueryService, IdleFlushAnswersLoneQueryWithoutWaitingTheWindow) {
+  // Neither size nor the window can flush this query; only the idle flush
+  // (no batch executing) can, and it must not wait at all.
+  Fixture fx(315);
+  ServiceOptions opts;
+  opts.max_batch = 1000;
+  opts.max_wait = std::chrono::seconds(10);
+  QueryService service(fx.db.get(), opts);
+
+  const auto start = std::chrono::steady_clock::now();
+  std::future<Weight> future = service.SubmitShortestPath(0, 5);
+  ASSERT_EQ(future.wait_for(std::chrono::seconds(5)),
+            std::future_status::ready);
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  EXPECT_LT(seconds, 1.0);
+  ExpectOracle(fx, 0, 5, future.get());
+}
+
+TEST(QueryService, BusyBackendStillCoalesces) {
+  // While one batch is held in the backend, later queries wait behind it
+  // and leave together as one batch once it is released.
+  GatedBackend backend;
+  ServiceOptions opts;
+  opts.max_batch = 1000;
+  opts.max_wait = std::chrono::seconds(10);
+  QueryService service(&backend, opts);
+
+  auto running = service.SubmitShortestPath(1, 2);
+  backend.WaitUntilExecuting();
+  std::vector<std::future<Weight>> queued;
+  for (NodeId v = 0; v < 5; ++v) {
+    queued.push_back(service.SubmitShortestPath(v, 10));
+  }
+  backend.Release();
+  EXPECT_DOUBLE_EQ(running.get(), 3.0);
+  for (NodeId v = 0; v < 5; ++v) {
+    EXPECT_DOUBLE_EQ(queued[v].get(), static_cast<Weight>(v) + 10.0);
+  }
+  service.Shutdown();
+
+  const ServiceStats stats = service.Stats();
+  EXPECT_EQ(stats.completed, 6u);
+  EXPECT_EQ(stats.batches, 2u);
+  EXPECT_DOUBLE_EQ(stats.batch_fill.Min(), 1.0);
+  EXPECT_DOUBLE_EQ(stats.batch_fill.Max(), 5.0);
+}
 
 TEST(QueryService, TrySubmitRejectsWhenQueueFull) {
   GatedBackend backend;

@@ -1,11 +1,15 @@
-// Unit tests for the util substrate: rng, stats, bit matrix, thread pool,
-// lru cache, status.
+// Unit tests for the util substrate: rng, stats, bit matrix, thread pool
+// (including its caller-helps loops: concurrent callers, inline single
+// items, exception forwarding, nesting inside pool tasks), lru cache,
+// status.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <numeric>
 #include <set>
+#include <stdexcept>
+#include <thread>
 
 #include "util/bit_matrix.h"
 #include "util/lru_cache.h"
@@ -398,6 +402,84 @@ TEST(ThreadPool, ParallelForRangesSmallerThanWorkerCount) {
   std::vector<std::atomic<int>> hits(3);
   pool.ParallelForRanges(3, [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) hits[i]++;
+  });
+  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPool, ConcurrentCallersRunEveryIndexExactlyOnce) {
+  // Eight callers share a two-thread pool: their loops interleave on the
+  // helpers, and every caller also works its own loop.
+  ThreadPool pool(2);
+  constexpr size_t kCallers = 8;
+  constexpr size_t kItems = 500;
+  std::vector<std::vector<std::atomic<int>>> hits(kCallers);
+  for (auto& h : hits) h = std::vector<std::atomic<int>>(kItems);
+  std::vector<std::thread> callers;
+  for (size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c]() {
+      for (int round = 0; round < 4; ++round) {
+        pool.ParallelFor(kItems / 4, [&](size_t i) {
+          hits[c][round * (kItems / 4) + i]++;
+        });
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  for (const auto& h : hits) {
+    for (const auto& count : h) EXPECT_EQ(count.load(), 1);
+  }
+}
+
+TEST(ThreadPool, SingleItemRunsOnTheCallingThread) {
+  ThreadPool pool(4);
+  std::thread::id ran_on;
+  pool.ParallelFor(1, [&](size_t i) {
+    EXPECT_EQ(i, 0u);
+    ran_on = std::this_thread::get_id();
+  });
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+}
+
+TEST(ThreadPool, ExceptionReachesTheCallerAndThePoolStaysUsable) {
+  ThreadPool pool(3);
+  for (size_t n : {1, 2, 50}) {
+    EXPECT_THROW(pool.ParallelFor(n,
+                                  [](size_t i) {
+                                    if (i == 0) throw std::runtime_error("x");
+                                  }),
+                 std::runtime_error)
+        << "n=" << n;
+  }
+  EXPECT_THROW(pool.ParallelForRanges(
+                   100, [](size_t, size_t) { throw std::logic_error("y"); }),
+               std::logic_error);
+
+  std::vector<std::atomic<int>> hits(100);
+  pool.ParallelFor(100, [&](size_t i) { hits[i]++; });
+  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+  EXPECT_EQ(pool.Submit([]() { return 5; }).get(), 5);
+}
+
+TEST(ThreadPool, NestedParallelForInsidePoolTaskCompletes) {
+  // Every worker is inside a task that runs a ParallelFor of its own on
+  // the same pool; each completes because its caller drains its own loop.
+  ThreadPool pool(2);
+  std::atomic<int> inner{0};
+  std::vector<std::future<void>> outer;
+  for (int t = 0; t < 2; ++t) {
+    outer.push_back(pool.Submit([&]() {
+      pool.ParallelFor(64, [&](size_t) { inner++; });
+    }));
+  }
+  for (auto& f : outer) f.get();
+  EXPECT_EQ(inner.load(), 128);
+
+  // A ParallelFor whose items run ParallelForRanges on the same pool.
+  std::vector<std::atomic<int>> hits(8 * 100);
+  pool.ParallelFor(8, [&](size_t i) {
+    pool.ParallelForRanges(100, [&](size_t begin, size_t end) {
+      for (size_t j = begin; j < end; ++j) hits[i * 100 + j]++;
+    });
   });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
