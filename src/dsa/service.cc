@@ -1,6 +1,7 @@
 #include "dsa/service.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -104,15 +105,16 @@ std::vector<Result<Weight>> SiteNetworkBackend::ExecuteBatch(
 
 namespace {
 
-size_t ClampShards(size_t requested) {
-  return std::clamp<size_t>(requested, 1, 256);
-}
-
 size_t ClampFlushWorkers(size_t requested) {
   if (requested == 0) {
     requested = std::max(1u, std::thread::hardware_concurrency());
   }
   return std::clamp<size_t>(requested, 1, 64);
+}
+
+std::exception_ptr ShutDownError() {
+  return std::make_exception_ptr(
+      std::runtime_error("QueryService is shut down"));
 }
 
 }  // namespace
@@ -145,46 +147,22 @@ QueryService::QueryService(ServiceBackend* backend, ServiceOptions options)
 void QueryService::Start() {
   TCF_CHECK(options_.max_batch > 0);
   TCF_CHECK(options_.queue_capacity > 0);
-  options_.admission_shards = ClampShards(options_.admission_shards);
   options_.flush_workers = ClampFlushWorkers(options_.flush_workers);
-  shards_.resize(options_.admission_shards);
-  for (auto& shard : shards_) shard = std::make_unique<Shard>();
-
-  const size_t workers = options_.flush_workers;
-  group_shards_.assign(workers, {});
-  all_shards_.resize(shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    all_shards_[s] = s;
-    group_shards_[s % workers].push_back(s);  // ascending within a group
-  }
-
   stats_.latency_seconds = Accumulator(options_.latency_sample_cap);
   stats_.update_latency_seconds = Accumulator(options_.latency_sample_cap);
   stats_.batch_fill = Accumulator(options_.latency_sample_cap);
   start_time_ = std::chrono::steady_clock::now();
 
-  const bool updates = backend_->SupportsUpdates();
-  live_flushers_.store(static_cast<int>(workers) + (updates ? 1 : 0),
-                       std::memory_order_relaxed);
-  flush_threads_.reserve(workers);
-  for (size_t w = 0; w < workers; ++w) {
-    flush_threads_.emplace_back([this, w]() { FlushWorkerLoop(w); });
+  flush_threads_.reserve(options_.flush_workers);
+  for (size_t w = 0; w < options_.flush_workers; ++w) {
+    flush_threads_.emplace_back([this]() { FlushWorkerLoop(); });
   }
-  if (updates) {
+  if (backend_->SupportsUpdates()) {
     update_thread_ = std::thread([this]() { UpdateLoop(); });
   }
 }
 
 QueryService::~QueryService() { Shutdown(); }
-
-QueryService::Shard& QueryService::ShardForThisThread() {
-  // Per-client (thread) affinity: one client's queries stay FIFO within
-  // its stripe and two clients contend only on a hash collision. Thread
-  // ids hash poorly on common standard libraries (they are pointers or
-  // small integers), so finish with a full-avalanche mix.
-  const size_t raw = std::hash<std::thread::id>{}(std::this_thread::get_id());
-  return *shards_[PairKeyHash{}(static_cast<uint64_t>(raw)) % shards_.size()];
-}
 
 bool QueryService::FailIfInvalid(const Query& query,
                                  std::promise<Weight>* promise) const {
@@ -213,48 +191,33 @@ std::optional<std::future<Weight>> QueryService::Admit(Query query,
   std::future<Weight> future = pending.promise.get_future();
   if (FailIfInvalid(query, &pending.promise)) return future;
 
-  Shard& shard = ShardForThisThread();
-  bool ring = false;
+  bool wake = false;
   {
-    std::unique_lock<std::mutex> lock(shard.mutex);
+    std::unique_lock<std::mutex> lock(mutex_);
     if (blocking) {
-      shard.space_cv.wait(lock, [&]() {
-        return shard.queue.size() < options_.queue_capacity || shard.stopping;
+      space_cv_.wait(lock, [this]() {
+        return queue_.size() < options_.queue_capacity || stopping_;
       });
-      if (shard.stopping) {
-        pending.promise.set_exception(std::make_exception_ptr(
-            std::runtime_error("QueryService is shut down")));
+      if (stopping_) {
+        pending.promise.set_exception(ShutDownError());
         return future;
       }
     } else {
-      if (shard.stopping) return std::nullopt;
-      if (shard.queue.size() >= options_.queue_capacity) {
-        ++shard.rejected;
+      if (stopping_) return std::nullopt;
+      if (queue_.size() >= options_.queue_capacity) {
+        ++stats_.rejected;
         return std::nullopt;
       }
     }
-    shard.queue.push_back(std::move(pending));
-    ++shard.submitted;
-    const size_t before = pending_.fetch_add(1, std::memory_order_relaxed);
-    ring = before == 0 || before + 1 == options_.max_batch;
+    queue_.push_back(std::move(pending));
+    ++stats_.submitted;
+    // Only two pushes can change a flush decision: the one that makes the
+    // queue non-empty (workers may sleep with no deadline) and the one
+    // that reaches max_batch (a coalescer may be waiting out max_wait).
+    wake = queue_.size() == 1 || queue_.size() == options_.max_batch;
   }
-  if (ring) RingDoorbell();
+  if (wake) flush_cv_.notify_one();
   return future;
-}
-
-void QueryService::RingDoorbell() {
-  // The empty critical section is what makes the notify reliable: flush
-  // workers evaluate their sleep predicates while holding flush_mutex_,
-  // so the notify cannot land inside a check-then-sleep window. Only the
-  // submitter whose push made the total pending count non-empty (workers
-  // may be sleeping with no deadline) or made it cross max_batch (workers
-  // may be sleeping until a max_wait deadline) rings; every other submit
-  // touches no global state beyond one uncontended atomic increment.
-  // notify_all, not notify_one: several workers may be coalescing toward
-  // different deadlines and the one woken by notify_one might not be the
-  // owner of the shard group that just filled.
-  { std::lock_guard<std::mutex> doorbell(flush_mutex_); }
-  flush_cv_.notify_all();
 }
 
 std::future<Weight> QueryService::SubmitShortestPath(NodeId from, NodeId to) {
@@ -283,34 +246,28 @@ std::vector<std::future<Weight>> QueryService::SubmitBatch(
     }
   }
 
-  // Admit as much of the batch as the shard holds under ONE lock and ring
+  // Admit as much of the batch as the queue holds under ONE lock and wake
   // once, so no flush worker sees a partial batch and flushes it early;
-  // block only for the remainder when the shard fills. The doorbell rings
-  // after the lock is released (flush workers take shard locks while
-  // holding the doorbell mutex), and before any wait for space, so the
-  // workers drain what was admitted.
-  Shard& shard = ShardForThisThread();
+  // block only for the remainder when the queue fills. The wake comes
+  // before any wait for space, so the workers drain what was admitted.
+  std::unique_lock<std::mutex> lock(mutex_);
   size_t next = 0;
   while (next < valid.size()) {
-    {
-      std::unique_lock<std::mutex> lock(shard.mutex);
-      shard.space_cv.wait(lock, [&]() {
-        return shard.queue.size() < options_.queue_capacity || shard.stopping;
-      });
-      if (shard.stopping) break;
-      const size_t take = std::min(options_.queue_capacity - shard.queue.size(),
-                                   valid.size() - next);
-      for (size_t k = 0; k < take; ++k) {
-        shard.queue.push_back(std::move(valid[next++]));
-      }
-      shard.submitted += take;
-      pending_.fetch_add(take, std::memory_order_relaxed);
+    space_cv_.wait(lock, [this]() {
+      return queue_.size() < options_.queue_capacity || stopping_;
+    });
+    if (stopping_) break;
+    const size_t take = std::min(options_.queue_capacity - queue_.size(),
+                                 valid.size() - next);
+    for (size_t k = 0; k < take; ++k) {
+      queue_.push_back(std::move(valid[next++]));
     }
-    RingDoorbell();
+    stats_.submitted += take;
+    flush_cv_.notify_one();
   }
+  lock.unlock();
   for (; next < valid.size(); ++next) {
-    valid[next].promise.set_exception(std::make_exception_ptr(
-        std::runtime_error("QueryService is shut down")));
+    valid[next].promise.set_exception(ShutDownError());
   }
   return futures;
 }
@@ -326,71 +283,72 @@ std::future<uint64_t> QueryService::SubmitUpdate(EdgeUpdate update) {
         std::runtime_error("backend does not support updates")));
     return future;
   }
+  // Reject what the maintenance epoch would treat as an invariant: a bad
+  // update fails its own future instead of aborting the applier or the
+  // next query that reads the edge.
+  const char* invalid = nullptr;
   if (validate_num_nodes_ > 0 && (update.src >= validate_num_nodes_ ||
                                   update.dst >= validate_num_nodes_)) {
-    pending.promise.set_exception(std::make_exception_ptr(
-        std::out_of_range("update endpoint out of range")));
+    invalid = "update endpoint out of range";
+  } else if (update.kind != EdgeUpdate::Kind::kDelete &&
+             !(std::isfinite(update.weight) && update.weight >= 0.0)) {
+    invalid = "update weight must be finite and non-negative";
+  }
+  if (invalid != nullptr) {
+    pending.promise.set_exception(
+        std::make_exception_ptr(std::out_of_range(invalid)));
     return future;
   }
 
   {
     std::lock_guard<std::mutex> lock(update_mutex_);
     if (updates_stopping_) {
-      pending.promise.set_exception(std::make_exception_ptr(
-          std::runtime_error("QueryService is shut down")));
+      pending.promise.set_exception(ShutDownError());
       return future;
     }
     update_queue_.push_back(std::move(pending));
   }
-  // Updates wake their own applier thread — they neither ring the query
-  // doorbell nor cut a flush worker's coalescing window short; workers
-  // pick up the published epoch at their next batch boundary.
+  // Updates wake their own applier thread — they neither wake a flush
+  // worker nor cut a coalescing window short; workers pick up the
+  // published epoch at their next batch boundary.
   update_cv_.notify_one();
   return future;
 }
 
 void QueryService::Shutdown() {
-  // Stop the update lane first (mirroring the shard-flag protocol below):
-  // an update admitted under `updates_stopping_ == false` is ordered
-  // before this flag flip by update_mutex_, so the applier's final drain
-  // sees it before exiting.
+  // Stop the update lane first: an update admitted under
+  // `updates_stopping_ == false` is ordered before this flag flip by
+  // update_mutex_, so the applier's final drain sees it before exiting.
   {
     std::lock_guard<std::mutex> lock(update_mutex_);
     updates_stopping_ = true;
   }
   update_cv_.notify_all();
-  // Flag every shard under its own lock FIRST: a submitter that pushed
-  // after reading `stopping == false` is ordered before this sweep by the
-  // shard mutex, and the sweep is ordered before the release-store of
-  // stop_requested_ — so when a flush worker acquires the flag and
-  // drains, every admitted entry is visible to it. Submitters blocked on
-  // a full shard are woken here and rejected instead of deadlocking.
-  for (auto& shard : shards_) {
-    {
-      std::lock_guard<std::mutex> lock(shard->mutex);
-      shard->stopping = true;
-    }
-    shard->space_cv.notify_all();
+  // A submitter that pushed after reading `stopping_ == false` did so
+  // under mutex_, before this flip, so the workers' drain sees its entry.
+  // Submitters blocked on a full queue are woken here and rejected instead
+  // of deadlocking.
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    stopping_.store(true, std::memory_order_release);
   }
-  stop_requested_.store(true, std::memory_order_release);
-  { std::lock_guard<std::mutex> doorbell(flush_mutex_); }
+  space_cv_.notify_all();
   flush_cv_.notify_all();
   // join() exactly once even when Shutdown races itself (it is documented
-  // thread-safe like every other public method).
+  // thread-safe like every other public method); the clock freezes after
+  // the joins, so post-Shutdown Stats() reads one stable elapsed_seconds.
   std::call_once(join_once_, [this]() {
     for (std::thread& t : flush_threads_) t.join();
     if (update_thread_.joinable()) update_thread_.join();
+    std::lock_guard<std::mutex> lock(mutex_);
+    stopped_ = true;
+    stop_time_ = std::chrono::steady_clock::now();
   });
 }
 
 ServiceStats QueryService::Stats() const {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
+  std::lock_guard<std::mutex> lock(mutex_);
   ServiceStats snapshot = stats_;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> shard_lock(shard->mutex);
-    snapshot.submitted += shard->submitted;
-    snapshot.rejected += shard->rejected;
-  }
   const auto end = stopped_ ? stop_time_ : std::chrono::steady_clock::now();
   snapshot.elapsed_seconds =
       std::chrono::duration<double>(end - start_time_).count();
@@ -402,74 +360,8 @@ std::chrono::steady_clock::time_point QueryService::FlushDeadline(
     std::chrono::microseconds max_wait) {
   using TimePoint = std::chrono::steady_clock::time_point;
   const auto wait = std::chrono::duration_cast<TimePoint::duration>(max_wait);
-  // Covers both the "queues raced empty" sentinel (oldest == max()) and
-  // any near-max value whose addition would overflow into UB.
   if (oldest >= TimePoint::max() - wait) return TimePoint::max();
   return oldest + wait;
-}
-
-std::chrono::steady_clock::time_point QueryService::OldestSubmitTimeOf(
-    const std::vector<size_t>& shard_indices) const {
-  auto oldest = std::chrono::steady_clock::time_point::max();
-  for (size_t s : shard_indices) {
-    std::lock_guard<std::mutex> lock(shards_[s]->mutex);
-    if (!shards_[s]->queue.empty()) {
-      oldest = std::min(oldest, shards_[s]->queue.front().submit_time);
-    }
-  }
-  return oldest;
-}
-
-std::vector<QueryService::Pending> QueryService::CollectFromShards(
-    const std::vector<size_t>& shard_indices) {
-  std::vector<Pending> admitted;
-
-  // Hold every listed shard lock for the merge, acquired in ascending
-  // shard-index order (shard_indices is ascending by construction — see
-  // the Shard lock-order comment for why concurrent sweeps over
-  // overlapping subsets cannot deadlock): entries are popped oldest-first
-  // across the subset, which is the single-queue admission order
-  // restricted to it, so no stripe can starve under overload.
-  std::vector<std::unique_lock<std::mutex>> locks;
-  locks.reserve(shard_indices.size());
-  for (size_t s : shard_indices) locks.emplace_back(shards_[s]->mutex);
-
-  std::vector<bool> popped(shard_indices.size(), false);
-  while (admitted.size() < options_.max_batch) {
-    size_t best = shard_indices.size();
-    auto best_time = std::chrono::steady_clock::time_point::max();
-    for (size_t i = 0; i < shard_indices.size(); ++i) {
-      const auto& queue = shards_[shard_indices[i]]->queue;
-      if (!queue.empty() && queue.front().submit_time < best_time) {
-        best_time = queue.front().submit_time;
-        best = i;
-      }
-    }
-    if (best == shard_indices.size()) break;  // all listed shards empty
-    auto& queue = shards_[shard_indices[best]]->queue;
-    admitted.push_back(std::move(queue.front()));
-    queue.pop_front();
-    popped[best] = true;
-  }
-  pending_.fetch_sub(admitted.size(), std::memory_order_relaxed);
-
-  for (size_t i = 0; i < shard_indices.size(); ++i) {
-    locks[i].unlock();
-    if (popped[i]) shards_[shard_indices[i]]->space_cv.notify_all();
-  }
-  return admitted;
-}
-
-std::vector<QueryService::Pending> QueryService::CollectBatch(size_t worker) {
-  const std::vector<size_t>& own = group_shards_[worker];
-  std::vector<Pending> admitted = CollectFromShards(own);
-  if (admitted.empty() && own.size() < shards_.size()) {
-    // Steal: the worker's own group is empty, so sweep everything,
-    // globally oldest-first — a hot group drains through every idle
-    // worker, not just its owner.
-    admitted = CollectFromShards(all_shards_);
-  }
-  return admitted;
 }
 
 void QueryService::UpdateLoop() {
@@ -497,7 +389,7 @@ void QueryService::UpdateLoop() {
     // wake-then-snapshot consistency the query path guarantees.
     const auto done = std::chrono::steady_clock::now();
     {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
+      std::lock_guard<std::mutex> lock(mutex_);
       ++stats_.update_epochs;
       stats_.updates += pending.size();
       for (const PendingUpdate& p : pending) {
@@ -507,100 +399,45 @@ void QueryService::UpdateLoop() {
     }
     for (PendingUpdate& p : pending) p.promise.set_value(epoch);
   }
-  if (live_flushers_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    stopped_ = true;
-    stop_time_ = std::chrono::steady_clock::now();
-  }
 }
 
-void QueryService::FinishExecuting() {
-  if (executing_.fetch_sub(1) != 1) return;
-  // The last executing batch is done: workers coalescing behind it flush
-  // now. Read pending_ under the doorbell mutex, so either a coalescing
-  // worker sees executing_ == 0 before it sleeps, or this read sees the
-  // entries it is waiting on and the notify wakes it.
-  bool ring;
-  {
-    std::lock_guard<std::mutex> doorbell(flush_mutex_);
-    ring = pending_.load(std::memory_order_relaxed) > 0;
-  }
-  if (ring) flush_cv_.notify_all();
-}
-
-void QueryService::FlushWorkerLoop(size_t worker) {
+void QueryService::FlushWorkerLoop() {
+  std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    // True when this worker took executing_ from 0 for the batch it is
-    // about to collect (see the idle flush below).
-    bool reserved = false;
-    {
-      std::unique_lock<std::mutex> lock(flush_mutex_);
-      flush_cv_.wait(lock, [this]() {
-        return stop_requested_.load(std::memory_order_acquire) ||
-               pending_.load(std::memory_order_relaxed) > 0;
-      });
-      if (!stop_requested_.load(std::memory_order_acquire) &&
-          pending_.load(std::memory_order_relaxed) < options_.max_batch) {
-        if (executing_.load() > 0) {
-          // Coalesce behind the batches in progress: sleep until the
-          // worker's own oldest entry has waited max_wait, or until the
-          // last executing batch finishes and its worker rings the
-          // doorbell. A worker whose own group is empty coalesces toward
-          // the GLOBAL oldest entry's deadline instead — under saturation
-          // the size predicate below fires immediately and it steals
-          // right away; under a trickle the owner usually collects first
-          // and the thief's sweep comes up empty. Any entry a worker pops
-          // at its deadline is older than its own group's oldest, so the
-          // max_wait latency bound holds either way. The deadline is
-          // advisory: a concurrent popper may already have taken the
-          // entry behind it, which is why FlushDeadline clamps the max()
-          // sentinel instead of letting the addition overflow.
-          auto oldest = OldestSubmitTimeOf(group_shards_[worker]);
-          if (oldest == std::chrono::steady_clock::time_point::max()) {
-            oldest = OldestSubmitTimeOf(all_shards_);
-          }
-          const auto deadline = FlushDeadline(oldest, options_.max_wait);
-          // Another popper emptied the queues: sleep again rather than
-          // collect, so an arrival in the meantime still coalesces.
-          if (deadline == std::chrono::steady_clock::time_point::max()) {
-            continue;
-          }
-          flush_cv_.wait_until(lock, deadline, [this]() {
-            return stop_requested_.load(std::memory_order_acquire) ||
-                   pending_.load(std::memory_order_relaxed) >=
-                       options_.max_batch ||
-                   executing_.load() == 0;
-          });
-        }
-        // Idle flush: with no micro-batch executing, waiting would only
-        // delay the queries, so the worker collects at once. It reserves
-        // the executing slot under the doorbell mutex, so the workers
-        // woken beside it see the backend busy and coalesce behind its
-        // batch instead of each flushing a sliver.
-        if (executing_.load() == 0) {
-          executing_.fetch_add(1);
-          reserved = true;
-        }
-      }
+    flush_cv_.wait(lock, [this]() { return stopping_ || !queue_.empty(); });
+    if (queue_.empty()) break;  // stopping, and every admitted query drained
+    // Coalesce behind the batches in progress until the oldest entry has
+    // waited max_wait, the queue reaches max_batch, or the last executing
+    // batch ends. The deadline is re-read from the current oldest entry on
+    // every wake, because another worker may have collected it meanwhile.
+    while (!stopping_ && executing_ > 0 && !queue_.empty() &&
+           queue_.size() < options_.max_batch) {
+      const auto deadline =
+          FlushDeadline(queue_.front().submit_time, options_.max_wait);
+      if (std::chrono::steady_clock::now() >= deadline) break;
+      flush_cv_.wait_until(lock, deadline);
     }
+    // Another worker took the queries: sleep again, so that an arrival in
+    // the meantime still coalesces.
+    if (queue_.empty()) continue;
 
-    std::vector<Pending> admitted = CollectBatch(worker);
-    if (admitted.empty()) {
-      if (reserved) FinishExecuting();
-      // CollectBatch returns empty only after a sweep of EVERY shard
-      // found nothing, so with stop_requested_ set there is nothing left
-      // to drain (the shard-flag protocol in Shutdown() guarantees no
-      // admission can appear after that sweep).
-      if (stop_requested_.load(std::memory_order_acquire)) break;
-      continue;
+    std::vector<Pending> admitted;
+    admitted.reserve(std::min(options_.max_batch, queue_.size()));
+    while (!queue_.empty() && admitted.size() < options_.max_batch) {
+      admitted.push_back(std::move(queue_.front()));
+      queue_.pop_front();
     }
+    ++executing_;
+    const bool leftover = !queue_.empty();
+    lock.unlock();
+    space_cv_.notify_all();
+    // What is left needs a worker watching its deadline.
+    if (leftover) flush_cv_.notify_one();
 
     std::vector<Query> batch;
     batch.reserve(admitted.size());
     for (const Pending& p : admitted) batch.push_back(p.query);
-    if (!reserved) executing_.fetch_add(1);
     const std::vector<Result<Weight>> costs = backend_->ExecuteBatch(batch);
-    FinishExecuting();
     TCF_CHECK(costs.size() == admitted.size());
 
     // Record stats BEFORE fulfilling the promises: a client that wakes
@@ -613,13 +450,16 @@ void QueryService::FlushWorkerLoop(size_t worker) {
       latencies.push_back(
           std::chrono::duration<double>(done - p.submit_time).count());
     }
-    {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.batches;
-      stats_.completed += admitted.size();
-      stats_.batch_fill.Add(static_cast<double>(admitted.size()));
-      stats_.latency_seconds.AddAll(latencies);
-    }
+    lock.lock();
+    ++stats_.batches;
+    stats_.completed += admitted.size();
+    stats_.batch_fill.Add(static_cast<double>(admitted.size()));
+    stats_.latency_seconds.AddAll(latencies);
+    // The last executing batch is done: a worker coalescing behind it
+    // flushes now.
+    const bool idle = --executing_ == 0 && !queue_.empty();
+    lock.unlock();
+    if (idle) flush_cv_.notify_one();
 
     for (size_t i = 0; i < admitted.size(); ++i) {
       if (costs[i].ok()) {
@@ -632,14 +472,7 @@ void QueryService::FlushWorkerLoop(size_t worker) {
             std::runtime_error(costs[i].status().ToString())));
       }
     }
-  }
-  // The LAST flush-role thread out (worker or update applier) freezes the
-  // service clock, so post-Shutdown Stats() reads one stable
-  // elapsed_seconds regardless of which worker drained the final batch.
-  if (live_flushers_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    stopped_ = true;
-    stop_time_ = std::chrono::steady_clock::now();
+    lock.lock();
   }
 }
 

@@ -8,60 +8,47 @@
 // and the skeleton cache of the batch executor without any client knowing
 // about batching.
 //
-// The admission path is *sharded*: submitters are striped by thread
-// affinity over `admission_shards` independent bounded queues (own mutex,
-// own backpressure condition), so concurrent clients contend only within
-// their stripe instead of on one global admission mutex.
-//
-// Flushing is *parallel*: `flush_workers` worker threads (default: one per
-// hardware thread) each own a disjoint group of admission shards — shard s
-// belongs to worker s % flush_workers — and each drives its own
-// CollectBatch + ExecuteBatch + promise-fulfillment cycle, so micro-batches
-// execute concurrently on a re-entrant backend. A worker whose own group is
-// empty *steals*: it sweeps every shard globally oldest-first, so a hot
-// shard group can never starve behind one busy worker while others idle.
+// Admission is ONE bounded FIFO queue under one mutex, and flushing is
+// *parallel*: `flush_workers` worker threads pop micro-batches from that
+// queue, each driving its own ExecuteBatch + promise-fulfillment cycle, so
+// micro-batches execute concurrently on a re-entrant backend. The same
+// mutex guards the queue, the count of executing batches, the stop flag
+// and the accounting, so every flush decision reads one consistent state.
 //
 // The flush contract. A worker with queries pending flushes
 //   - at once when no micro-batch is executing (the *idle flush*: waiting
 //     would only delay the queries, nothing else needs the backend),
-//   - at once when total pending reaches max_batch (the *size flush*),
+//   - at once when pending reaches max_batch (the *size flush*),
 //   - otherwise, while some batch executes, when the last executing batch
-//     finishes (its worker rings the doorbell) or when the oldest pending
+//     finishes (its worker wakes the coalescers) or when the oldest pending
 //     entry has waited max_wait (the *time window*), whichever is first.
 // So coalescing happens only behind work in progress: a lone query is
 // answered without sitting out max_wait, and under load the queries that
-// arrive while batches execute still leave together. With flush_workers
-// == 1 the worker owns every shard and collects from all of them. With
-// more workers the same per-query latency bound holds (a query is
-// collected no later than max_wait after admission, by its owner or by a
-// thief), but a size-triggered flush coalesces per group, so concurrent
-// batches may each carry a fraction of the global backlog — that is the
-// point: fill is traded for parallel execution. SubmitBatch admits a
-// pre-formed batch under one shard lock, so an idle flush never splits
-// what a caller handed over whole (max_batch still may).
+// arrive while batches execute still leave together. A worker pops the
+// oldest entries, at most max_batch of them, so admission stays FIFO
+// whichever worker collects. SubmitBatch admits a pre-formed batch under
+// one lock with one wake, so an idle flush never splits what a caller
+// handed over whole (max_batch still may).
 //
 // Admission policy (ServiceOptions):
-//   - max_batch:        flush as soon as this many queries are pending
-//                       across all shards,
-//   - max_wait:         while a batch executes, flush a non-empty queue no
-//                       later than this after its oldest entry arrived —
-//                       the latency bound: a query's p99 latency is
-//                       bounded by max_wait plus one batch execution,
-//   - queue_capacity:   bounded admission queue, per shard. Submit*
-//                       blocks when its shard is full (closed-loop
-//                       backpressure); TrySubmit rejects and the
-//                       rejection is counted in ServiceStats.
-//   - admission_shards: number of admission queue stripes.
-//   - flush_workers:    number of concurrent flush workers (0 = one per
-//                       hardware thread).
+//   - max_batch:      flush as soon as this many queries are pending,
+//   - max_wait:       while a batch executes, flush a non-empty queue no
+//                     later than this after its oldest entry arrived — the
+//                     latency bound: a query's p99 latency is bounded by
+//                     max_wait plus one batch execution,
+//   - queue_capacity: bound on the admission queue. Submit* blocks when it
+//                     is full (closed-loop backpressure); TrySubmit rejects
+//                     and the rejection is counted in ServiceStats.
+//   - flush_workers:  number of concurrent flush workers (0 = one per
+//                     hardware thread).
 //
-// Shutdown() drains: every query admitted before the shutdown flag is
-// observed is executed and its future fulfilled; submissions arriving
-// after that get a future carrying std::runtime_error instead of a value.
-// Submitters blocked on a full shard are woken by Shutdown() and rejected
-// the same way — backpressure never deadlocks a shutdown. The last flush
-// worker to exit freezes the service clock, so post-shutdown Stats() is
-// stable regardless of worker scheduling.
+// Shutdown() drains: every query admitted before the stop flag is set is
+// executed and its future fulfilled; submissions arriving after that get a
+// future carrying std::runtime_error instead of a value. Submitters
+// blocked on a full queue are woken by Shutdown() and rejected the same
+// way — backpressure never deadlocks a shutdown. Shutdown() freezes the
+// service clock after joining every worker, so post-shutdown Stats() is
+// stable.
 //
 // The backend seam (ServiceBackend) is what makes the flush workers
 // deployment-agnostic: DatabaseBackend drives the in-process DsaDatabase
@@ -218,17 +205,16 @@ struct ServiceOptions {
   /// how long a query can wait behind busy batches; it is not a delay
   /// every query pays.
   std::chrono::microseconds max_wait{2000};
-  /// Bounded admission-queue depth, PER SHARD (total admitted backlog is
-  /// bounded by admission_shards * queue_capacity).
+  /// Bound on the admission queue: queries admitted and not yet collected
+  /// by a flush worker.
   size_t queue_capacity = 4096;
-  /// Admission-queue stripes; submitters are striped by thread affinity.
-  /// Clamped to [1, 256]. 1 reproduces the single-queue service.
+  /// Unread: admission is one queue. The field stays declared only because
+  /// the wire benchmark (wirebench/src/main.cc) assigns it; it goes with
+  /// the next change to that benchmark.
   size_t admission_shards = 4;
-  /// Concurrent flush workers, each owning the shard group
-  /// {s : s % flush_workers == worker} and stealing globally when its own
-  /// group is empty. 0 (the default) means one worker per hardware thread
-  /// (min 1); clamped to [1, 64]. 1 reproduces the single-flush-thread
-  /// service exactly.
+  /// Concurrent flush workers popping from the admission queue. 0 (the
+  /// default) means one worker per hardware thread (min 1); clamped to
+  /// [1, 64].
   size_t flush_workers = 0;
   /// Cap on the stored per-query latency and per-batch fill samples
   /// behind the percentile/fill accounting (a uniform reservoir over the
@@ -241,7 +227,7 @@ struct ServiceOptions {
 struct ServiceStats {
   size_t submitted = 0;  // admitted into the queue
   size_t completed = 0;  // futures fulfilled with an answer
-  size_t rejected = 0;   // TrySubmit refusals on a full shard
+  size_t rejected = 0;   // TrySubmit refusals on a full queue
   size_t batches = 0;    // micro-batches executed
 
   size_t updates = 0;        // edge updates applied through the service
@@ -256,9 +242,8 @@ struct ServiceStats {
   /// under load, ≈1 under trickle traffic; same sample cap as latency).
   Accumulator batch_fill;
 
-  /// Wall time from service start to this snapshot (frozen when the LAST
-  /// flush worker exits after Shutdown(), so post-shutdown snapshots are
-  /// identical regardless of worker scheduling).
+  /// Wall time from service start to this snapshot (frozen once Shutdown()
+  /// has joined every worker, so post-shutdown snapshots are identical).
   double elapsed_seconds = 0.0;
 
   /// Sustained QUERY rate: completed queries per elapsed second. Updates
@@ -295,8 +280,8 @@ struct ServiceStats {
 };
 
 /// The admission service: any number of client threads submit single
-/// queries and receive futures; flush workers coalesce them across the
-/// admission shards into micro-batches and execute them on the backend.
+/// queries and receive futures; flush workers coalesce them from the
+/// admission queue into micro-batches and execute them on the backend.
 /// All public methods are thread-safe.
 class QueryService {
  public:
@@ -316,23 +301,23 @@ class QueryService {
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
 
-  /// Submit one shortest-path cost query. Blocks while the submitter's
-  /// shard is full; the future carries the cost (kInfinity when
+  /// Submit one shortest-path cost query. Blocks while the admission queue
+  /// is full; the future carries the cost (kInfinity when
   /// unconnected), or std::runtime_error if the service was already shut
   /// down, or std::out_of_range for an invalid query (database-backed
   /// services validate at admission, so one bad query fails its own
   /// future instead of reaching a flush worker).
   std::future<Weight> SubmitShortestPath(NodeId from, NodeId to);
 
-  /// Non-blocking submit: nullopt when the shard is full (counted as a
+  /// Non-blocking submit: nullopt when the queue is full (counted as a
   /// rejection) or the service is shut down. An invalid query returns a
   /// future carrying std::out_of_range (it was not rejected for space).
   std::optional<std::future<Weight>> TrySubmit(NodeId from, NodeId to);
 
   /// Submit a pre-formed batch, keeping one future per query (in query
-  /// order). The batch is admitted under one shard lock with one doorbell
-  /// ring, so an idle flush cannot split it; when the shard fills, only
-  /// the remainder blocks for space. The flush workers still split it at
+  /// order). The batch is admitted under one lock with one wake, so an
+  /// idle flush cannot split it; when the queue fills, only the remainder
+  /// blocks for space. The flush workers still split it at
   /// max_batch and may merge it with concurrent submissions.
   std::vector<std::future<Weight>> SubmitBatch(
       const std::vector<Query>& queries);
@@ -342,7 +327,8 @@ class QueryService {
   /// afterwards executes on that epoch or later (see the header comment
   /// for why this holds under concurrent flush workers). Carries
   /// std::runtime_error if the backend has no update support or the
-  /// service is shut down, std::out_of_range for unknown node ids. The
+  /// service is shut down, std::out_of_range for unknown node ids or for
+  /// an insert or reweight whose weight is NaN, infinite or negative. The
   /// update queue is unbounded — updates are expected to be orders of
   /// magnitude rarer than queries (the paper's amortization premise).
   std::future<uint64_t> SubmitUpdate(EdgeUpdate update);
@@ -358,15 +344,13 @@ class QueryService {
   /// flipped are still drained and answered normally — that split is the
   /// daemon's shutdown-drain contract.
   bool IsShuttingDown() const {
-    return stop_requested_.load(std::memory_order_acquire);
+    return stopping_.load(std::memory_order_acquire);
   }
 
   /// Snapshot of the accounting so far.
   ServiceStats Stats() const;
 
   const ServiceOptions& options() const { return options_; }
-  /// The clamped admission-shard count actually in use.
-  size_t num_shards() const { return shards_.size(); }
   /// The clamped flush-worker count actually in use (the resolved value
   /// when flush_workers was 0 = auto).
   size_t num_flush_workers() const { return flush_threads_.size(); }
@@ -378,91 +362,37 @@ class QueryService {
     std::chrono::steady_clock::time_point submit_time;
   };
 
-  /// One admission stripe: bounded queue + its backpressure condition.
-  /// `mutex` guards everything in the struct.
-  ///
-  /// Lock order (the reason concurrent poppers cannot deadlock): shard
-  /// mutexes are ranked by shard index, and every multi-shard acquisition
-  /// (CollectFromShards over a group or over all shards,
-  /// OldestSubmitTimeOf, Stats) takes them in ascending index order and
-  /// releases all of them before acquiring any other set. Submitters hold
-  /// exactly one shard mutex. stats_mutex_ is acquired either alone, or
-  /// before shard mutexes (Stats), never after — flush workers release
-  /// every shard lock before recording stats. So every cycle the
-  /// wait-for graph could form is broken by the ascending-index rank.
-  struct Shard {
-    mutable std::mutex mutex;
-    std::condition_variable space_cv;  // blocked submitters wait here
-    std::deque<Pending> queue;
-    size_t submitted = 0;  // admitted via this shard
-    size_t rejected = 0;   // TrySubmit refusals on this shard
-    /// Set under `mutex` by Shutdown(). Submitters check THIS flag, not
-    /// the atomic: reading it false under the shard lock proves the push
-    /// happens-before Shutdown's sweep of this shard, so the drain cannot
-    /// miss an in-flight admission.
-    bool stopping = false;
-  };
-
-  /// Shared constructor tail: validates options, builds the shards, the
-  /// worker→shard-group table, and the capped accumulators, then starts
-  /// the flush workers (and the update applier when the backend supports
-  /// updates).
-  void Start();
-  Shard& ShardForThisThread();
-  /// The one admission path behind every Submit*: validates (when a
-  /// database is known), then pushes into the submitter's shard. Blocking
-  /// admission always returns a future (possibly carrying the shutdown or
-  /// validation error); non-blocking returns nullopt on a full shard
-  /// (counted as a rejection) or after shutdown.
-  std::optional<std::future<Weight>> Admit(Query query, bool blocking);
-  /// Fails `promise` with std::out_of_range and returns true when `query`
-  /// lies outside the validation domain (never, when it is unknown).
-  bool FailIfInvalid(const Query& query, std::promise<Weight>* promise) const;
-  /// Wakes the flush workers reliably (see the definition for when
-  /// submitters need to).
-  void RingDoorbell();
-  /// One flush worker: coalesce, collect (own group first, then steal),
-  /// execute, fulfill. The last worker to exit freezes the stats clock.
-  void FlushWorkerLoop(size_t worker);
-  /// Ends one executing micro-batch (or an idle-flush reservation whose
-  /// collect came up empty); the worker that takes executing_ to zero
-  /// rings the doorbell when queries are pending.
-  void FinishExecuting();
-  /// The update applier: drains all pending updates as one maintenance
-  /// epoch per wake, concurrently with the flush workers.
-  void UpdateLoop();
-
-  /// `OldestSubmitTime() + max_wait` clamped against overflow: when the
-  /// queues race empty between the sleep-predicate check and this call
-  /// (another popper got there first), OldestSubmitTime returns
-  /// time_point::max() and the unclamped addition is UB. Returns
-  /// time_point::max() ("no deadline") in that case.
-  static std::chrono::steady_clock::time_point FlushDeadline(
-      std::chrono::steady_clock::time_point oldest,
-      std::chrono::microseconds max_wait);
-
-  /// Oldest pending submit time across `shard_indices` (time_point::max()
-  /// when all are empty). Takes the shard locks one at a time in ascending
-  /// index order; the result is advisory — a concurrent popper may remove
-  /// the entry before the caller acts on it, which is why every deadline
-  /// derived from it goes through FlushDeadline and every sleep re-checks.
-  std::chrono::steady_clock::time_point OldestSubmitTimeOf(
-      const std::vector<size_t>& shard_indices) const;
-  /// Pops up to max_batch entries merged oldest-first across
-  /// `shard_indices`, holding all their locks (ascending index order) for
-  /// the merge, notifying space on every shard it popped from.
-  std::vector<Pending> CollectFromShards(
-      const std::vector<size_t>& shard_indices);
-  /// Worker collection policy: own shard group first; when the group is
-  /// empty, steal globally oldest-first across ALL shards. Returns empty
-  /// only when every shard was empty at the global sweep.
-  std::vector<Pending> CollectBatch(size_t worker);
-
   struct PendingUpdate {
     EdgeUpdate update;
     std::promise<uint64_t> promise;
     std::chrono::steady_clock::time_point submit_time;
   };
+
+  /// Shared constructor tail: validates options and builds the capped
+  /// accumulators, then starts the flush workers (and the update applier
+  /// when the backend supports updates).
+  void Start();
+  /// The one admission path behind SubmitShortestPath and TrySubmit:
+  /// validates (when a database is known), then pushes into the queue.
+  /// Blocking admission always returns a future (possibly carrying the
+  /// shutdown or validation error); non-blocking returns nullopt on a full
+  /// queue (counted as a rejection) or after shutdown.
+  std::optional<std::future<Weight>> Admit(Query query, bool blocking);
+  /// Fails `promise` with std::out_of_range and returns true when `query`
+  /// lies outside the validation domain (never, when it is unknown).
+  bool FailIfInvalid(const Query& query, std::promise<Weight>* promise) const;
+  /// One flush worker: coalesce, collect, execute, fulfill, until Shutdown()
+  /// and the queue is drained.
+  void FlushWorkerLoop();
+  /// The update applier: drains all pending updates as one maintenance
+  /// epoch per wake, concurrently with the flush workers.
+  void UpdateLoop();
+
+  /// `oldest + max_wait`, clamped to time_point::max() ("no deadline")
+  /// where the addition would overflow — max_wait is user-set.
+  static std::chrono::steady_clock::time_point FlushDeadline(
+      std::chrono::steady_clock::time_point oldest,
+      std::chrono::microseconds max_wait);
 
   ServiceOptions options_;
   std::unique_ptr<ServiceBackend> owned_backend_;
@@ -474,51 +404,36 @@ class QueryService {
   size_t validate_num_nodes_ = 0;
   bool routes_supported_ = true;
 
-  std::vector<std::unique_ptr<Shard>> shards_;
-  /// group_shards_[w] = ascending shard indices owned by worker w
-  /// (s % flush_workers == w); all_shards_ = every index, for steals.
-  std::vector<std::vector<size_t>> group_shards_;
-  std::vector<size_t> all_shards_;
+  /// The admission mutex. It guards the queue, executing_, stopping_'s
+  /// writes, stats_ and the stop timestamp.
+  mutable std::mutex mutex_;
+  std::condition_variable space_cv_;  // submitters blocked on a full queue
+  std::condition_variable flush_cv_;  // flush workers between batches
+  std::deque<Pending> queue_;
+  /// Micro-batches being executed right now, counted from the moment a
+  /// worker collects. Zero means the backend is idle, and a worker with
+  /// pending queries flushes without coalescing.
+  size_t executing_ = 0;
+  /// Set under mutex_ by Shutdown(); admission and the flush workers read
+  /// it under mutex_, so an admission that saw it false is ordered before
+  /// the flip and the drain cannot miss it. Atomic only so that
+  /// IsShuttingDown() can read it without the lock.
+  std::atomic<bool> stopping_{false};
+  ServiceStats stats_;
+  bool stopped_ = false;  // workers joined; elapsed frozen at stop_time_
+  std::chrono::steady_clock::time_point start_time_;
+  std::chrono::steady_clock::time_point stop_time_;
 
-  /// The update lane: one unbounded queue beside the sharded query
-  /// stripes, drained by the dedicated applier thread sleeping on
-  /// `update_cv_`. `update_mutex_` guards the queue and the stopping
-  /// flag. Shutdown() sets `updates_stopping_` under the mutex, so an
-  /// update admitted under `stopping == false` is ordered before the flag
-  /// flip and the applier's final drain cannot miss it.
+  /// The update lane: one unbounded queue beside the query queue, drained
+  /// by the dedicated applier thread sleeping on `update_cv_`.
+  /// `update_mutex_` guards the queue and the stopping flag. Shutdown()
+  /// sets `updates_stopping_` under the mutex, so an update admitted under
+  /// `updates_stopping_ == false` is ordered before the flag flip and the
+  /// applier's final drain cannot miss it.
   std::mutex update_mutex_;
   std::condition_variable update_cv_;
   std::vector<PendingUpdate> update_queue_;
   bool updates_stopping_ = false;
-
-  std::atomic<bool> stop_requested_{false};
-  /// Total entries across all shard queues. Incremented inside the
-  /// submitter's shard critical section, decremented by CollectFromShards
-  /// while it holds its shard locks; the flush workers' sleep predicates
-  /// read it as a lock-free hint (a collect sweep is the authority).
-  std::atomic<size_t> pending_{0};
-  /// Micro-batches being executed right now, counting an idle-flush
-  /// worker from the moment it decides to flush. Zero means the backend is
-  /// idle, and a worker with pending queries flushes without coalescing;
-  /// the worker that takes it back to zero rings the doorbell.
-  std::atomic<size_t> executing_{0};
-
-  /// The flush workers' doorbell: submitters ring it after enqueueing, and
-  /// so does the worker that finishes the last executing batch; workers
-  /// sleep here between micro-batches. Guards no data — the
-  /// predicates read the shard queues under their own locks.
-  mutable std::mutex flush_mutex_;
-  std::condition_variable flush_cv_;
-
-  /// Guards the aggregate accounting and the start/stop timestamps.
-  mutable std::mutex stats_mutex_;
-  ServiceStats stats_;
-  bool stopped_ = false;  // last flush-role thread exited; elapsed frozen
-  std::chrono::steady_clock::time_point start_time_;
-  std::chrono::steady_clock::time_point stop_time_;
-  /// Flush-role threads (workers + applier) still running; the thread
-  /// that decrements it to zero freezes the stats clock.
-  std::atomic<int> live_flushers_{0};
 
   std::once_flag join_once_;
   std::vector<std::thread> flush_threads_;

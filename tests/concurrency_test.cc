@@ -239,71 +239,66 @@ TEST(Concurrency, ServiceHammerManyProducers) {
   EXPECT_LE(stats.batch_fill.Max(), static_cast<double>(opts.max_batch));
 }
 
-TEST(Concurrency, ShardedAdmissionHammerAcrossShardCounts) {
-  // The sharded admission path and the parallel flush pool under maximum
+TEST(Concurrency, AdmissionHammerAcrossFlushWorkerCounts) {
+  // The admission queue and the parallel flush pool under maximum
   // contention: 16 submitter threads (blocking and TrySubmit mixed)
-  // against the full flush_workers {1, 2, 4} × admission_shards {1, 4, 8}
-  // grid. Every future must resolve with the precomputed answer and the
-  // ServiceStats totals must be scheduling-independent — identical
-  // submitted/completed in every cell, rejected == observed retries. Runs
-  // under TSan in CI, which is what makes the shard-striped locking
-  // (shard mutexes, doorbell, multi-popper collection, drain protocol) a
-  // checked property. Per-cell query count is trimmed so the 9-cell grid
-  // stays inside the TSan time budget.
+  // against flush_workers {1, 2, 4}. Every future must resolve with the
+  // precomputed answer and the ServiceStats totals must be
+  // scheduling-independent — identical submitted/completed for every
+  // worker count, rejected == observed retries. Runs under TSan in CI,
+  // which is what makes the admission locking (one mutex, the space and
+  // flush condition variables, multi-popper collection, drain protocol) a
+  // checked property.
   Fixture fx(107, /*cyclic=*/true);
   const Expected expected = Precompute(*fx.db, 60, 14);
   constexpr size_t kSubmitters = 16;
 
   for (size_t workers : {1, 2, 4}) {
-    for (size_t shards : {1, 4, 8}) {
-      ServiceOptions opts;
-      opts.max_batch = 16;
-      opts.max_wait = std::chrono::microseconds(200);
-      opts.queue_capacity = 32;  // small: backpressure on every stripe
-      opts.admission_shards = shards;
-      opts.flush_workers = workers;
-      QueryService service(fx.db.get(), opts);
+    ServiceOptions opts;
+    opts.max_batch = 16;
+    opts.max_wait = std::chrono::microseconds(200);
+    opts.queue_capacity = 32;  // small: backpressure is part of the hammer
+    opts.flush_workers = workers;
+    QueryService service(fx.db.get(), opts);
 
-      std::atomic<size_t> mismatches{0};
-      std::atomic<size_t> retried{0};
-      std::vector<std::thread> threads;
-      threads.reserve(kSubmitters);
-      for (size_t t = 0; t < kSubmitters; ++t) {
-        threads.emplace_back([&, t]() {
-          for (size_t i = 0; i < expected.queries.size(); ++i) {
-            const size_t j = (i + t * 19) % expected.queries.size();
-            const Query& q = expected.queries[j];
-            std::future<Weight> future;
-            if (t % 2 == 0) {
-              future = service.SubmitShortestPath(q.from, q.to);
-            } else {
-              for (;;) {
-                auto maybe = service.TrySubmit(q.from, q.to);
-                if (maybe.has_value()) {
-                  future = std::move(*maybe);
-                  break;
-                }
-                retried.fetch_add(1, std::memory_order_relaxed);
-                std::this_thread::yield();
+    std::atomic<size_t> mismatches{0};
+    std::atomic<size_t> retried{0};
+    std::vector<std::thread> threads;
+    threads.reserve(kSubmitters);
+    for (size_t t = 0; t < kSubmitters; ++t) {
+      threads.emplace_back([&, t]() {
+        for (size_t i = 0; i < expected.queries.size(); ++i) {
+          const size_t j = (i + t * 19) % expected.queries.size();
+          const Query& q = expected.queries[j];
+          std::future<Weight> future;
+          if (t % 2 == 0) {
+            future = service.SubmitShortestPath(q.from, q.to);
+          } else {
+            for (;;) {
+              auto maybe = service.TrySubmit(q.from, q.to);
+              if (maybe.has_value()) {
+                future = std::move(*maybe);
+                break;
               }
+              retried.fetch_add(1, std::memory_order_relaxed);
+              std::this_thread::yield();
             }
-            if (future.get() != expected.costs[j]) ++mismatches;
           }
-        });
-      }
-      for (std::thread& th : threads) th.join();
-      service.Shutdown();
-
-      SCOPED_TRACE(::testing::Message()
-                   << "workers=" << workers << " shards=" << shards);
-      EXPECT_EQ(mismatches.load(), 0u);
-      const ServiceStats stats = service.Stats();
-      EXPECT_EQ(stats.completed, kSubmitters * expected.queries.size());
-      EXPECT_EQ(stats.submitted, stats.completed);
-      EXPECT_EQ(stats.rejected, retried.load());
-      EXPECT_GT(stats.batches, 0u);
-      EXPECT_LE(stats.batch_fill.Max(), static_cast<double>(opts.max_batch));
+          if (future.get() != expected.costs[j]) ++mismatches;
+        }
+      });
     }
+    for (std::thread& th : threads) th.join();
+    service.Shutdown();
+
+    SCOPED_TRACE(::testing::Message() << "workers=" << workers);
+    EXPECT_EQ(mismatches.load(), 0u);
+    const ServiceStats stats = service.Stats();
+    EXPECT_EQ(stats.completed, kSubmitters * expected.queries.size());
+    EXPECT_EQ(stats.submitted, stats.completed);
+    EXPECT_EQ(stats.rejected, retried.load());
+    EXPECT_GT(stats.batches, 0u);
+    EXPECT_LE(stats.batch_fill.Max(), static_cast<double>(opts.max_batch));
   }
 }
 

@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstring>
 #include <future>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -351,6 +352,34 @@ TEST_F(DaemonTest, UpdateRoundTripShiftsAnswers) {
       EXPECT_NEAR(got.value(), want, 1e-9) << from << "->" << to;
     }
   }
+}
+
+TEST_F(DaemonTest, HostileUpdateWeightsGetErrorFramesAndTheDaemonLives) {
+  // Update frames are well formed but carry weights no edge may have:
+  // each must come back as its own kOutOfRange error frame, and the
+  // daemon must keep answering exactly as before (none was applied).
+  auto client = Connect();
+  const auto [v, w, id] = *graph().OutEdges(0).begin();
+  for (Weight bad : {std::numeric_limits<Weight>::quiet_NaN(),
+                     std::numeric_limits<Weight>::infinity(),
+                     -std::numeric_limits<Weight>::infinity(), -2.5}) {
+    SCOPED_TRACE(::testing::Message() << "weight=" << bad);
+    for (const EdgeUpdate& update :
+         {EdgeUpdate::Insert(0, v, bad), EdgeUpdate::Reweight(0, v, bad)}) {
+      Result<uint64_t> epoch = client->SubmitUpdate(update).get();
+      ASSERT_FALSE(epoch.ok());
+      EXPECT_EQ(epoch.status().code(), StatusCode::kOutOfRange);
+    }
+  }
+  EXPECT_EQ(server_->stats().replies_error, 8u);
+
+  Rng rng(47);
+  for (int i = 0; i < 40; ++i) {
+    const NodeId from = static_cast<NodeId>(rng.NextBounded(NumNodes()));
+    const NodeId to = static_cast<NodeId>(rng.NextBounded(NumNodes()));
+    ExpectMatchesOracle(from, to, client->ShortestPathCost(from, to));
+  }
+  ExpectMatchesOracle(0, v, client->ShortestPathCost(0, v));
 }
 
 TEST_F(DaemonTest, ServerStopDrainsInFlightReplies) {

@@ -1,13 +1,13 @@
 // Tests for the streaming admission layer (dsa/service.h): answers match a
 // Floyd–Warshall min-plus oracle element-wise, micro-batches flush on size,
 // on the max_wait time window, and at once when the backend is idle (while
-// a busy backend still makes later queries coalesce), the bounded queue
-// rejects TrySubmit when full, Shutdown drains every admitted query (and
-// wakes submitters blocked on backpressure), the sharded admission path
-// and the parallel flush pool keep ServiceStats totals
-// scheduling-independent across shard and worker counts (with
-// elapsed_seconds frozen by the last worker to drain), and the backend
-// seam serves both the in-process database and the message-passing
+// a busy backend still makes later queries coalesce), the one bounded
+// admission queue rejects TrySubmit when full whichever thread filled it,
+// Shutdown drains every admitted query (and wakes submitters blocked on
+// backpressure), the parallel flush pool keeps ServiceStats totals
+// scheduling-independent across worker counts (with elapsed_seconds frozen
+// at shutdown), hostile update weights fail their own future, and the
+// backend seam serves both the in-process database and the message-passing
 // SiteNetwork.
 #include <gtest/gtest.h>
 
@@ -15,9 +15,12 @@
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
+#include <future>
+#include <limits>
 #include <mutex>
 #include <thread>
 
+#include "dsa/maintenance.h"
 #include "dsa/service.h"
 #include "dsa/sites.h"
 #include "dsa/workload.h"
@@ -288,6 +291,61 @@ TEST(QueryService, TrySubmitRejectsWhenQueueFull) {
   EXPECT_EQ(service.Stats().completed, 3u);
 }
 
+TEST(QueryService, QueueCapacityBoundsEveryThreadTogether) {
+  // queue_capacity bounds the one admission queue, not a per-thread
+  // share: once thread A has filled it, TrySubmit from any other thread is
+  // rejected. A and the other submitters stay alive together, so each has
+  // its own thread id. Every flush worker is gated or coalescing behind
+  // the gate, so nothing leaves the queue until the release.
+  GatedBackend backend;
+  ServiceOptions opts;
+  opts.max_batch = 1000;
+  opts.queue_capacity = 4;
+  opts.max_wait = std::chrono::seconds(10);
+  opts.flush_workers = 4;
+  QueryService service(&backend, opts);
+
+  auto running = service.SubmitShortestPath(1, 2);
+  backend.WaitUntilExecuting();
+  std::promise<void> filled, done;
+  std::shared_future<void> all_tried = done.get_future().share();
+  std::vector<std::optional<std::future<Weight>>> queued(opts.queue_capacity);
+  std::thread filler([&]() {
+    for (NodeId v = 0; v < opts.queue_capacity; ++v) {
+      queued[v] = service.TrySubmit(v, 20);
+    }
+    filled.set_value();
+    all_tried.wait();
+  });
+  filled.get_future().wait();
+  constexpr size_t kOthers = 4;
+  std::atomic<size_t> tried{0}, accepted{0};
+  std::vector<std::thread> others;
+  for (size_t k = 0; k < kOthers; ++k) {
+    others.emplace_back([&]() {
+      if (service.TrySubmit(7, 8).has_value()) ++accepted;
+      ++tried;
+      all_tried.wait();
+    });
+  }
+  while (tried.load() < kOthers) std::this_thread::yield();
+  done.set_value();
+  filler.join();
+  for (std::thread& t : others) t.join();
+  EXPECT_EQ(accepted.load(), 0u);
+  EXPECT_EQ(service.Stats().rejected, kOthers);
+
+  backend.Release();
+  EXPECT_DOUBLE_EQ(running.get(), 3.0);
+  for (NodeId v = 0; v < opts.queue_capacity; ++v) {
+    ASSERT_TRUE(queued[v].has_value()) << v;
+    EXPECT_DOUBLE_EQ(queued[v]->get(), static_cast<Weight>(v) + 20.0);
+  }
+  service.Shutdown();
+  EXPECT_EQ(service.Stats().completed,
+            1u + opts.queue_capacity + accepted.load());
+}
+
 TEST(QueryService, ShutdownDrainsQueuedQueries) {
   Fixture fx(305);
   ServiceOptions opts;
@@ -319,22 +377,23 @@ TEST(QueryService, SubmitAfterShutdownFails) {
   EXPECT_THROW(future.get(), std::runtime_error);
 }
 
-TEST(QueryService, ShardSweepTotalsAreSchedulingIndependent) {
-  // 16 submitter threads across shard counts {1, 4, 8}: every future must
-  // resolve with the oracle answer and the ServiceStats totals must be
-  // identical at every shard count — sharding the admission path may only
-  // change contention, never what is admitted or answered.
-  Fixture fx(309);
-  const std::vector<Query> queries = fx.Workload(240, 14);
-  constexpr size_t kSubmitters = 16;
+TEST(QueryService, FlushWorkerGridTotalsAreSchedulingIndependent) {
+  // Across flush_workers {1, 2, 4}, with 8 concurrent submitters, every
+  // future resolves with the oracle answer and the drained totals are
+  // identical for every worker count. Worker count may only change which
+  // thread pops a query — never whether it is admitted, answered, or
+  // counted.
+  Fixture fx(313);
+  const std::vector<Query> queries = fx.Workload(160, 17);
+  constexpr size_t kSubmitters = 8;
 
-  for (size_t shards : {1, 4, 8}) {
+  for (size_t workers : {1, 2, 4}) {
     ServiceOptions opts;
-    opts.max_batch = 32;
-    opts.max_wait = std::chrono::microseconds(300);
-    opts.admission_shards = shards;
+    opts.max_batch = 16;
+    opts.max_wait = std::chrono::microseconds(200);
+    opts.flush_workers = workers;
     QueryService service(fx.db.get(), opts);
-    ASSERT_EQ(service.num_shards(), shards);
+    ASSERT_EQ(service.num_flush_workers(), workers);
 
     std::atomic<size_t> mismatches{0};
     std::vector<std::thread> threads;
@@ -342,11 +401,8 @@ TEST(QueryService, ShardSweepTotalsAreSchedulingIndependent) {
     for (size_t t = 0; t < kSubmitters; ++t) {
       threads.emplace_back([&, t]() {
         for (size_t i = 0; i < queries.size(); ++i) {
-          const size_t j = (i + t * 31) % queries.size();
-          const Query& q = queries[j];
-          std::future<Weight> future =
-              service.SubmitShortestPath(q.from, q.to);
-          const Weight got = future.get();
+          const Query& q = queries[(i + t * 37) % queries.size()];
+          const Weight got = service.SubmitShortestPath(q.from, q.to).get();
           const Weight want = fx.oracle[q.from][q.to];
           if (want == kInfinity ? got != kInfinity
                                 : std::abs(got - want) > 1e-9) {
@@ -358,80 +414,25 @@ TEST(QueryService, ShardSweepTotalsAreSchedulingIndependent) {
     for (std::thread& th : threads) th.join();
     service.Shutdown();
 
-    EXPECT_EQ(mismatches.load(), 0u) << "shards=" << shards;
     const ServiceStats stats = service.Stats();
-    EXPECT_EQ(stats.submitted, kSubmitters * queries.size())
-        << "shards=" << shards;
-    EXPECT_EQ(stats.completed, stats.submitted) << "shards=" << shards;
-    EXPECT_EQ(stats.rejected, 0u) << "shards=" << shards;
-    EXPECT_EQ(stats.latency_seconds.count(), stats.completed)
-        << "shards=" << shards;
-    EXPECT_LE(stats.batch_fill.Max(), static_cast<double>(opts.max_batch))
-        << "shards=" << shards;
-  }
-}
-
-TEST(QueryService, FlushWorkerGridTotalsAreSchedulingIndependent) {
-  // The parallel-flush analogue of the shard sweep: across flush_workers
-  // {1, 2, 4} × admission_shards {1, 4, 8}, with 8 concurrent submitters,
-  // every future resolves with the oracle answer and the drained totals
-  // are identical in every cell. Worker count may only change which
-  // thread pops a query — never whether it is admitted, answered, or
-  // counted.
-  Fixture fx(313);
-  const std::vector<Query> queries = fx.Workload(160, 17);
-  constexpr size_t kSubmitters = 8;
-
-  for (size_t workers : {1, 2, 4}) {
-    for (size_t shards : {1, 4, 8}) {
-      ServiceOptions opts;
-      opts.max_batch = 16;
-      opts.max_wait = std::chrono::microseconds(200);
-      opts.admission_shards = shards;
-      opts.flush_workers = workers;
-      QueryService service(fx.db.get(), opts);
-      ASSERT_EQ(service.num_flush_workers(), workers);
-
-      std::atomic<size_t> mismatches{0};
-      std::vector<std::thread> threads;
-      threads.reserve(kSubmitters);
-      for (size_t t = 0; t < kSubmitters; ++t) {
-        threads.emplace_back([&, t]() {
-          for (size_t i = 0; i < queries.size(); ++i) {
-            const Query& q = queries[(i + t * 37) % queries.size()];
-            const Weight got = service.SubmitShortestPath(q.from, q.to).get();
-            const Weight want = fx.oracle[q.from][q.to];
-            if (want == kInfinity ? got != kInfinity
-                                  : std::abs(got - want) > 1e-9) {
-              ++mismatches;
-            }
-          }
-        });
-      }
-      for (std::thread& th : threads) th.join();
-      service.Shutdown();
-
-      const ServiceStats stats = service.Stats();
-      SCOPED_TRACE(::testing::Message()
-                   << "workers=" << workers << " shards=" << shards);
-      EXPECT_EQ(mismatches.load(), 0u);
-      EXPECT_EQ(stats.submitted, kSubmitters * queries.size());
-      EXPECT_EQ(stats.completed, stats.submitted);
-      EXPECT_EQ(stats.rejected, 0u);
-      EXPECT_EQ(stats.latency_seconds.count(), stats.completed);
-      EXPECT_LE(stats.batch_fill.Max(), static_cast<double>(opts.max_batch));
-      // With no updates submitted, the combined operation rate degenerates
-      // to the query rate and the update rate to zero.
-      EXPECT_DOUBLE_EQ(stats.SustainedOpsPerSec(), stats.SustainedQps());
-      EXPECT_DOUBLE_EQ(stats.SustainedUpdatesPerSec(), 0.0);
-    }
+    SCOPED_TRACE(::testing::Message() << "workers=" << workers);
+    EXPECT_EQ(mismatches.load(), 0u);
+    EXPECT_EQ(stats.submitted, kSubmitters * queries.size());
+    EXPECT_EQ(stats.completed, stats.submitted);
+    EXPECT_EQ(stats.rejected, 0u);
+    EXPECT_EQ(stats.latency_seconds.count(), stats.completed);
+    EXPECT_LE(stats.batch_fill.Max(), static_cast<double>(opts.max_batch));
+    // With no updates submitted, the combined operation rate degenerates
+    // to the query rate and the update rate to zero.
+    EXPECT_DOUBLE_EQ(stats.SustainedOpsPerSec(), stats.SustainedQps());
+    EXPECT_DOUBLE_EQ(stats.SustainedUpdatesPerSec(), 0.0);
   }
 }
 
 TEST(QueryService, StatsAreFrozenAfterShutdownUnderParallelFlush) {
   // Regression for the multi-worker stats freeze: elapsed_seconds must be
-  // stamped exactly once, by the LAST flush worker to drain — not by the
-  // first, which would leak a still-ticking clock into later snapshots.
+  // stamped once every flush worker has drained — not when the first one
+  // exits, which would leak a still-ticking clock into later snapshots.
   // Two Stats() calls separated by real time must be identical, and the
   // drained totals must balance regardless of which worker popped what.
   Fixture fx(314);
@@ -439,7 +440,6 @@ TEST(QueryService, StatsAreFrozenAfterShutdownUnderParallelFlush) {
   opts.max_batch = 8;
   opts.max_wait = std::chrono::microseconds(200);
   opts.flush_workers = 4;
-  opts.admission_shards = 4;
   QueryService service(fx.db.get(), opts);
 
   std::vector<std::future<Weight>> futures =
@@ -471,8 +471,7 @@ TEST(QueryService, ShutdownWakesSubmitterBlockedOnFullQueue) {
   opts.max_batch = 1;
   opts.queue_capacity = 1;
   opts.max_wait = std::chrono::microseconds(0);
-  opts.admission_shards = 1;  // one stripe: the blocked path is forced
-  opts.flush_workers = 1;     // one popper: the gate holds the only worker
+  opts.flush_workers = 1;  // one popper: the gate holds the only worker
   QueryService service(&backend, opts);
 
   auto running = service.SubmitShortestPath(1, 2);
@@ -514,26 +513,6 @@ TEST(QueryService, ShutdownWakesSubmitterBlockedOnFullQueue) {
   EXPECT_EQ(stats.completed, stats.submitted);
 }
 
-TEST(QueryService, SingleShardMatchesDefaultShardingAnswers) {
-  // admission_shards = 1 must reproduce the single-queue service exactly
-  // (it is the baseline the bench sweep compares against).
-  Fixture fx(310);
-  const std::vector<Query> queries = fx.Workload(100, 15);
-  for (size_t shards : {1, 8}) {
-    ServiceOptions opts;
-    opts.admission_shards = shards;
-    opts.max_batch = 16;
-    opts.max_wait = std::chrono::microseconds(200);
-    QueryService service(fx.db.get(), opts);
-    std::vector<std::future<Weight>> futures = service.SubmitBatch(queries);
-    for (size_t i = 0; i < queries.size(); ++i) {
-      ExpectOracle(fx, queries[i].from, queries[i].to, futures[i].get());
-    }
-    service.Shutdown();
-    EXPECT_EQ(service.Stats().completed, queries.size());
-  }
-}
-
 TEST(QueryService, InvalidQueriesFailTheirOwnFutureNotTheService) {
   // Admission-time validation: an out-of-range endpoint must fail that
   // query's future — not reach the flush thread and TCF_CHECK-abort the
@@ -567,6 +546,35 @@ TEST(QueryService, InvalidQueriesFailTheirOwnFutureNotTheService) {
   EXPECT_EQ(stats.completed, stats.submitted);  // invalid never admitted
   EXPECT_EQ(stats.completed, 1u);
   EXPECT_EQ(stats.rejected, 0u);
+}
+
+TEST(QueryService, HostileUpdateWeightsFailTheirOwnFuture) {
+  // An insert or reweight whose weight is NaN, infinite or negative would
+  // break the non-negative-weight invariant every search relies on; it
+  // must fail its own future at admission, and the service keeps
+  // answering from an unchanged graph.
+  Fixture fx(316);
+  MaintainedDatabase mdb = MaintainedDatabase::FromFragmentation(*fx.frag);
+  QueryService service(&mdb);
+  ASSERT_FALSE(fx.graph.OutEdges(0).empty());
+  const auto [v, w, id] = *fx.graph.OutEdges(0).begin();
+  for (Weight bad : {std::numeric_limits<Weight>::quiet_NaN(),
+                     std::numeric_limits<Weight>::infinity(),
+                     -std::numeric_limits<Weight>::infinity(), -1.0}) {
+    SCOPED_TRACE(::testing::Message() << "weight=" << bad);
+    EXPECT_THROW(service.SubmitUpdate(EdgeUpdate::Insert(0, v, bad)).get(),
+                 std::out_of_range);
+    EXPECT_THROW(service.SubmitUpdate(EdgeUpdate::Reweight(0, v, bad)).get(),
+                 std::out_of_range);
+  }
+  // A parallel copy of an existing edge is accepted and changes no cost.
+  EXPECT_NO_THROW(service.SubmitUpdate(EdgeUpdate::Insert(0, v, w)).get());
+
+  for (NodeId to = 0; to < fx.graph.NumNodes(); ++to) {
+    ExpectOracle(fx, 0, to, service.SubmitShortestPath(0, to).get());
+  }
+  service.Shutdown();
+  EXPECT_EQ(service.Stats().updates, 1u);
 }
 
 TEST(QueryService, LatencySampleCapBoundsStoredSamples) {

@@ -8,7 +8,7 @@
 //   tcfragd [--port N] [--bind ADDR] [--clusters N]
 //           [--nodes-per-cluster N] [--edges-per-cluster N]
 //           [--fragments N] [--seed N] [--max-batch N]
-//           [--flush-workers N] [--shards N] [--db PATH]
+//           [--flush-workers N] [--db PATH]
 //           [--memory-budget-mb N]
 //
 // Defaults serve the Table 1 transportation workload (4 clusters x 25
@@ -60,7 +60,6 @@ struct Flags {
   uint64_t seed = 7;
   size_t max_batch = 64;
   size_t flush_workers = 0;  // 0 = one per hardware thread
-  size_t shards = 4;
   std::string db_path;       // empty = in-memory only
   size_t memory_budget_mb = 0;  // 0 = resident open; >0 = paged open
 };
@@ -71,7 +70,7 @@ void Usage(const char* argv0) {
       "usage: %s [--port N] [--bind ADDR] [--clusters N]\n"
       "          [--nodes-per-cluster N] [--edges-per-cluster N]\n"
       "          [--fragments N] [--seed N] [--max-batch N]\n"
-      "          [--flush-workers N] [--shards N] [--db PATH]\n"
+      "          [--flush-workers N] [--db PATH]\n"
       "          [--memory-budget-mb N]\n",
       argv0);
 }
@@ -101,8 +100,6 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       flags->max_batch = std::strtoull(v, nullptr, 10);
     } else if (arg == "--flush-workers" && (v = next())) {
       flags->flush_workers = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--shards" && (v = next())) {
-      flags->shards = std::strtoull(v, nullptr, 10);
     } else if (arg == "--db" && (v = next())) {
       flags->db_path = v;
     } else if (arg == "--memory-budget-mb" && (v = next())) {
@@ -206,7 +203,6 @@ int main(int argc, char** argv) {
   ServiceOptions sopts;
   sopts.max_batch = flags.max_batch;
   sopts.flush_workers = flags.flush_workers;
-  sopts.admission_shards = flags.shards;
   QueryService service(&mdb, sopts);
 
   ServerOptions server_opts;
