@@ -96,15 +96,20 @@ Status TryRefreshIncremental(const Fragmentation& frag,
   }
 
   // Rule (c) and the clean-source carry-over below probe the old shortcut
-  // relations through BestCost. Lookups have no error channel, so warm
-  // the lazy indexes first — for a paged relation this is where the store
-  // is actually read, and where a disk fault surfaces as a Status instead
-  // of a crash (relation.h's pre-warm discipline).
+  // relations pair by pair, through their per-pair costs. Folding them
+  // reads the store of a paged relation, so a disk fault surfaces here as
+  // a Status instead of a crash.
+  std::vector<PairCosts> old_costs(num_frags);
   for (FragmentId f = 0; f < num_frags; ++f) {
-    if (!border_set_changed[f]) {
-      TCF_RETURN_NOT_OK(old.shortcuts[f].WarmIndexes());
-    }
+    if (border_set_changed[f]) continue;
+    Result<PairCosts> costs = CostPerPair(old.shortcuts[f]);
+    if (!costs.ok()) return costs.status();
+    old_costs[f] = std::move(costs).value();
   }
+  auto old_cost = [&old_costs](FragmentId f, NodeId x, NodeId y) {
+    const auto it = old_costs[f].find(PairKey(x, y));
+    return it == old_costs[f].end() ? kInfinity : it->second;
+  };
 
   // Rule (c): for each relaxed edge e = (u, v, w), exact new-graph
   // distances d(x, u) (backward search) and d(v, y) (forward search) let
@@ -118,13 +123,12 @@ Status TryRefreshIncremental(const Fragmentation& frag,
     for (FragmentId f = 0; f < num_frags; ++f) {
       if (border_set_changed[f]) continue;
       const std::vector<NodeId>& borders = frag.BorderNodes(f);
-      const Relation& old_rel = old.shortcuts[f];
       for (NodeId x : borders) {
         if (dirty[x] || to_u.distance[x] == kInfinity) continue;
         for (NodeId y : borders) {
           if (y == x || from_v.distance[y] == kInfinity) continue;
           if (to_u.distance[x] + e.weight + from_v.distance[y] <
-              old_rel.BestCost(x, y)) {
+              old_cost(f, x, y)) {
             dirty[x] = 1;
             break;
           }
@@ -185,7 +189,7 @@ Status TryRefreshIncremental(const Fragmentation& frag,
         // border set is unchanged): its tuples are provably unchanged.
         for (NodeId y : borders) {
           if (x == y) continue;
-          const Weight c = old.shortcuts[f].BestCost(x, y);
+          const Weight c = old_cost(f, x, y);
           if (c == kInfinity) continue;
           rel.Add(x, y, c);
           auto it = old.witness.find(PairKey(x, y));

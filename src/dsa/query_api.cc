@@ -10,14 +10,6 @@ DsaDatabase::DsaDatabase(const Fragmentation* frag, DsaOptions options)
   } else {
     complementary_.shortcuts.resize(frag_->NumFragments());
   }
-  // The shortcut relations are shared read-only by every concurrent query.
-  // Index builds are thread-safe either way; warming resident relations
-  // here just front-loads the cost. Paged relations are left cold — eager
-  // indexes would decode every fragment's extent, defeating the point of
-  // opening paged (queries only ever scan shortcuts, never probe them).
-  for (const Relation& shortcuts : complementary_.shortcuts) {
-    if (!shortcuts.is_paged()) shortcuts.WarmIndexes();
-  }
   const size_t threads = options_.num_threads > 0 ? options_.num_threads
                                                   : frag_->NumFragments();
   pool_ = std::make_shared<ThreadPool>(threads);
@@ -37,12 +29,6 @@ DsaDatabase::DsaDatabase(const Fragmentation* frag, DsaOptions options,
                   "epoch carryover does not match the fragmentation");
   } else {
     complementary_.shortcuts.resize(frag_->NumFragments());
-  }
-  // Adopted relations may contain freshly rebuilt (index-cold) entries;
-  // warm the resident ones while still single-threaded, as the primary
-  // ctor does. Paged entries stay lazy (see above).
-  for (const Relation& shortcuts : complementary_.shortcuts) {
-    if (!shortcuts.is_paged()) shortcuts.WarmIndexes();
   }
   if (carry.pool != nullptr) {
     pool_ = std::move(carry.pool);

@@ -108,9 +108,11 @@ Relation UnionMax(const Relation& a, const Relation& b) {
 
 Relation ImprovingTuples(const Relation& candidate, const Relation& best,
                          bool min_plus) {
+  const PairCosts known = CostPerPair(best).value();
   Relation out;
   candidate.ForEach([&](const PathTuple& t) {
-    const Weight current = best.BestCost(t.src, t.dst);
+    const auto it = known.find(PairKey(t.src, t.dst));
+    const Weight current = it == known.end() ? kInfinity : it->second;
     const bool improves =
         min_plus ? (t.cost < current) : (current == kInfinity);
     if (improves) out.Add(t);
@@ -121,9 +123,12 @@ Relation ImprovingTuples(const Relation& candidate, const Relation& best,
 }
 
 Relation ImprovingTuplesMax(const Relation& candidate, const Relation& best) {
+  const PairCosts known = CostPerPair(best, /*keep_max=*/true).value();
   Relation out;
   candidate.ForEach([&](const PathTuple& t) {
-    if (t.cost > best.MaxCost(t.src, t.dst)) out.Add(t);
+    const auto it = known.find(PairKey(t.src, t.dst));
+    const Weight current = it == known.end() ? 0.0 : it->second;
+    if (t.cost > current) out.Add(t);
   });
   out.AggregateMax();
   return out;

@@ -49,12 +49,14 @@ Relation UnionMax(const Relation& a, const Relation& b);
 /// Tuples of `candidate` that strictly improve on `best`:
 ///   - reachability semiring: pairs not present in `best` at all;
 ///   - min-plus: pairs absent or with a strictly smaller cost.
-/// This is the semi-naive delta step.
+/// This is the semi-naive delta step. `best` is folded by CostPerPair once
+/// per call; it has no error channel, so `best` must be readable — the
+/// closure engines pass their resident accumulator.
 Relation ImprovingTuples(const Relation& candidate, const Relation& best,
                          bool min_plus);
 
 /// Bottleneck delta step: tuples of `candidate` whose capacity strictly
-/// exceeds the best known in `best`.
+/// exceeds the best known in `best` (same contract on `best`).
 Relation ImprovingTuplesMax(const Relation& candidate, const Relation& best);
 
 }  // namespace tcf

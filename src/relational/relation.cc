@@ -38,27 +38,21 @@ Status Relation::Materialize() {
   TCF_RETURN_NOT_OK(cursor->status());
   tuples_ = std::move(resident);
   store_.reset();
-  InvalidateIndexes();
   return Status::OK();
 }
 
 Status Relation::Append(const Relation& other) {
   TCF_RETURN_NOT_OK(Materialize());
-  InvalidateIndexes();
   tuples_.reserve(tuples_.size() + other.size());
   // Streams `other` through its cursor, so appending a paged relation
   // copies tuples out of pinned pages without materializing `other`.
   return other.ForEach([this](const PathTuple& t) { tuples_.push_back(t); });
 }
 
-void Relation::AggregateMin() {
+void Relation::AggregateBy(bool keep_max) {
   MaterializeOrDie();
-  std::unordered_map<uint64_t, Weight> best;
-  best.reserve(tuples_.size());
-  for (const PathTuple& t : tuples_) {
-    auto [it, inserted] = best.emplace(PairKey(t.src, t.dst), t.cost);
-    if (!inserted && t.cost < it->second) it->second = t.cost;
-  }
+  // Resident now, so the fold cannot fail.
+  const PairCosts best = CostPerPair(*this, keep_max).value();
   tuples_.clear();
   tuples_.reserve(best.size());
   for (const auto& [key, cost] : best) {
@@ -66,30 +60,10 @@ void Relation::AggregateMin() {
                                 static_cast<NodeId>(key & 0xffffffffu),
                                 cost});
   }
-  InvalidateIndexes();
-}
-
-void Relation::AggregateMax() {
-  MaterializeOrDie();
-  std::unordered_map<uint64_t, Weight> best;
-  best.reserve(tuples_.size());
-  for (const PathTuple& t : tuples_) {
-    auto [it, inserted] = best.emplace(PairKey(t.src, t.dst), t.cost);
-    if (!inserted && t.cost > it->second) it->second = t.cost;
-  }
-  tuples_.clear();
-  tuples_.reserve(best.size());
-  for (const auto& [key, cost] : best) {
-    tuples_.push_back(PathTuple{static_cast<NodeId>(key >> 32),
-                                static_cast<NodeId>(key & 0xffffffffu),
-                                cost});
-  }
-  InvalidateIndexes();
 }
 
 void Relation::SortCanonical() {
   MaterializeOrDie();
-  InvalidateIndexes();
   std::sort(tuples_.begin(), tuples_.end(),
             [](const PathTuple& a, const PathTuple& b) {
               if (a.src != b.src) return a.src < b.src;
@@ -98,62 +72,20 @@ void Relation::SortCanonical() {
             });
 }
 
-Status Relation::EnsureIndex() const {
-  if (lazy_.min_built.load(std::memory_order_acquire)) return Status::OK();
-  std::lock_guard<std::mutex> lock(lazy_.build_mutex);
-  if (lazy_.min_built.load(std::memory_order_relaxed)) return Status::OK();
-  lazy_.min_index.clear();
-  lazy_.min_index.reserve(size());
-  const Status scan = ForEach([this](const PathTuple& t) {
-    auto [it, inserted] = lazy_.min_index.emplace(PairKey(t.src, t.dst),
-                                                  t.cost);
-    if (!inserted && t.cost < it->second) it->second = t.cost;
-  });
-  if (!scan.ok()) {
-    // A partial index would answer lookups wrong; stay cold so a later
-    // warm retries after the fault clears.
-    lazy_.min_index.clear();
-    return scan;
-  }
-  lazy_.min_built.store(true, std::memory_order_release);
-  return Status::OK();
-}
-
 Weight Relation::BestCost(NodeId src, NodeId dst) const {
-  const Status built = EnsureIndex();
-  TCF_CHECK_MSG(built.ok(),
-                "Relation::BestCost: index build failed (WarmIndexes first "
-                "and handle its Status): " + built.ToString());
-  auto it = lazy_.min_index.find(PairKey(src, dst));
-  return it == lazy_.min_index.end() ? kInfinity : it->second;
-}
-
-Status Relation::EnsureMaxIndex() const {
-  if (lazy_.max_built.load(std::memory_order_acquire)) return Status::OK();
-  std::lock_guard<std::mutex> lock(lazy_.build_mutex);
-  if (lazy_.max_built.load(std::memory_order_relaxed)) return Status::OK();
-  lazy_.max_index.clear();
-  lazy_.max_index.reserve(size());
-  const Status scan = ForEach([this](const PathTuple& t) {
-    auto [it, inserted] = lazy_.max_index.emplace(PairKey(t.src, t.dst),
-                                                  t.cost);
-    if (!inserted && t.cost > it->second) it->second = t.cost;
-  });
-  if (!scan.ok()) {
-    lazy_.max_index.clear();
-    return scan;
+  Weight best = kInfinity;
+  for (const PathTuple& t : tuples()) {
+    if (t.src == src && t.dst == dst) best = std::min(best, t.cost);
   }
-  lazy_.max_built.store(true, std::memory_order_release);
-  return Status::OK();
+  return best;
 }
 
 Weight Relation::MaxCost(NodeId src, NodeId dst) const {
-  const Status built = EnsureMaxIndex();
-  TCF_CHECK_MSG(built.ok(),
-                "Relation::MaxCost: index build failed (WarmIndexes first "
-                "and handle its Status): " + built.ToString());
-  auto it = lazy_.max_index.find(PairKey(src, dst));
-  return it == lazy_.max_index.end() ? 0.0 : it->second;
+  Weight best = 0.0;
+  for (const PathTuple& t : tuples()) {
+    if (t.src == src && t.dst == dst) best = std::max(best, t.cost);
+  }
+  return best;
 }
 
 std::string Relation::ToString(size_t max_rows) const {
@@ -177,6 +109,18 @@ std::string Relation::ToString(size_t max_rows) const {
     os << "\n  <scan error: " << cursor.status().ToString() << ">";
   }
   return os.str();
+}
+
+Result<PairCosts> CostPerPair(const Relation& r, bool keep_max) {
+  PairCosts best;
+  best.reserve(r.size());
+  TCF_RETURN_NOT_OK(r.ForEach([&](const PathTuple& t) {
+    auto [it, inserted] = best.emplace(PairKey(t.src, t.dst), t.cost);
+    if (!inserted && (keep_max ? t.cost > it->second : t.cost < it->second)) {
+      it->second = t.cost;
+    }
+  }));
+  return best;
 }
 
 }  // namespace tcf

@@ -10,9 +10,12 @@
 //   - Epoch copy-on-write: an update rebuilds dirty fragments into
 //     resident memory while clean fragments keep reading their immutable
 //     paged extents.
+//   - Storage faults: corrupt pages fail scans, per-pair folds and
+//     queries with a Status, and a maintenance refresh over a corrupt old
+//     epoch falls back to an exact full recompute.
 //   - Concurrency: many threads scanning through a two-frame pool (the
-//     pin-exhaustion bypass path) and cold concurrent BestCost lookups
-//     (the lazily built indexes). This suite runs in the TSan leg.
+//     pin-exhaustion bypass path) and probing resident and paged relations
+//     at once. This suite runs in the TSan leg.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -29,6 +32,7 @@
 #include "dsa_sweep.h"
 #include "dsa/maintenance.h"
 #include "graph/algorithms.h"
+#include "graph/builder.h"
 #include "relational/relation.h"
 #include "relational/tuple_store.h"
 #include "storage/database_io.h"
@@ -76,6 +80,14 @@ void ExpectSameTuples(const Relation& a, const Relation& b) {
   }
 }
 
+void ExpectSameShortcuts(const ComplementaryInfo& a,
+                         const ComplementaryInfo& b) {
+  ASSERT_EQ(a.shortcuts.size(), b.shortcuts.size());
+  for (size_t f = 0; f < a.shortcuts.size(); ++f) {
+    ExpectSameTuples(a.shortcuts[f], b.shortcuts[f]);
+  }
+}
+
 /// Total serialized bytes of every shortcut relation (the quantity the
 /// capped pool must stay below half of).
 uint64_t TotalRelationBytes(const ComplementaryInfo& comp) {
@@ -112,6 +124,26 @@ void ExpectAnswersMatch(const Graph& g, const DsaDatabase& fresh,
   }
 }
 
+/// Flips the first byte (header magic) of every kMinPageSize page of
+/// `path` but the header page.
+void CorruptPagesAfterHeader(const std::string& path) {
+  std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(file.good());
+  file.seekg(0, std::ios::end);
+  const auto file_size = static_cast<uint64_t>(file.tellg());
+  for (uint64_t off = kMinPageSize; off + kMinPageSize <= file_size;
+       off += kMinPageSize) {
+    file.seekg(static_cast<std::streamoff>(off));
+    char byte = 0;
+    file.read(&byte, 1);
+    byte = static_cast<char>(byte ^ 0xFF);
+    file.seekp(static_cast<std::streamoff>(off));
+    file.write(&byte, 1);
+  }
+  file.flush();
+  ASSERT_TRUE(file.good());
+}
+
 TEST(TupleStoreTest, VectorCursorYieldsAllTuplesOnce) {
   std::vector<PathTuple> tuples;
   for (uint32_t i = 0; i < 100; ++i) {
@@ -140,8 +172,10 @@ TEST(TupleStoreTest, RelationOverStoreIsPagedUntilMutation) {
   Relation rel((std::shared_ptr<const TupleStore>(store)));
   EXPECT_TRUE(rel.is_paged());
   EXPECT_EQ(rel.size(), 3u);
-  EXPECT_EQ(rel.BestCost(0, 1), 2.0);
-  EXPECT_EQ(rel.BestCost(2, 0), kInfinity);
+  Result<PairCosts> costs = CostPerPair(rel);
+  ASSERT_TRUE(costs.ok()) << costs.status().ToString();
+  EXPECT_EQ(costs.value().at(PairKey(0, 1)), 2.0);
+  EXPECT_EQ(costs.value().count(PairKey(2, 0)), 0u);
 
   // Copies share the immutable store...
   Relation copy = rel;
@@ -153,7 +187,7 @@ TEST(TupleStoreTest, RelationOverStoreIsPagedUntilMutation) {
   EXPECT_TRUE(rel.is_paged());
   EXPECT_EQ(rel.size(), 3u);
   EXPECT_EQ(copy.BestCost(5, 6), 1.0);
-  EXPECT_EQ(rel.BestCost(5, 6), kInfinity);
+  EXPECT_EQ(CostPerPair(rel).value().count(PairKey(5, 6)), 0u);
 
   // Explicit materialization exposes the resident vector.
   rel.Materialize();
@@ -425,28 +459,10 @@ TEST_F(PagedRelationTest, CorruptPageFailsQueryNotProcess) {
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   const ComplementaryInfo& comp = opened.value().db->complementary();
 
-  // Corrupt the first byte (header magic) of every page but the header
-  // page AFTER a clean open: the graph and fragmentation decoded at open
-  // stay valid, but any page a paged relation now faults back in fails
-  // verification.
-  {
-    std::fstream file(path_,
-                      std::ios::in | std::ios::out | std::ios::binary);
-    ASSERT_TRUE(file.good());
-    file.seekg(0, std::ios::end);
-    const auto file_size = static_cast<uint64_t>(file.tellg());
-    for (uint64_t off = kMinPageSize; off + kMinPageSize <= file_size;
-         off += kMinPageSize) {
-      file.seekg(static_cast<std::streamoff>(off));
-      char byte = 0;
-      file.read(&byte, 1);
-      byte = static_cast<char>(byte ^ 0xFF);
-      file.seekp(static_cast<std::streamoff>(off));
-      file.write(&byte, 1);
-    }
-    file.flush();
-    ASSERT_TRUE(file.good());
-  }
+  // Corrupt every page but the header page AFTER a clean open: the graph
+  // and fragmentation decoded at open stay valid, but any page a paged
+  // relation now faults back in fails verification.
+  ASSERT_NO_FATAL_FAILURE(CorruptPagesAfterHeader(path_));
 
   // A relation spanning more pages than the two-frame pool cannot be
   // served from residual frames, so its scan MUST surface the corruption
@@ -465,6 +481,8 @@ TEST_F(PagedRelationTest, CorruptPageFailsQueryNotProcess) {
   EXPECT_FALSE(scan.ok());
   EXPECT_NE(scan.ToString().find("page"), std::string::npos)
       << scan.ToString();
+  // The per-pair fold reads the same pages and reports the same failure.
+  EXPECT_FALSE(CostPerPair(comp.shortcuts[big]).ok());
 
   // Queries against corrupt storage fail with a Status on the answer.
   // They never crash the process and never report a made-up cost.
@@ -482,9 +500,59 @@ TEST_F(PagedRelationTest, CorruptPageFailsQueryNotProcess) {
   EXPECT_GT(failed, 0) << "no query surfaced the corrupted storage";
 }
 
-TEST_F(PagedRelationTest, ConcurrentColdLookupsBuildIndexOnce) {
-  // Resident relation, index-cold: concurrent BestCost/MaxCost from many
-  // threads must race-freely build the lazy indexes and agree.
+TEST_F(PagedRelationTest, RefreshOverCorruptOldEpochFallsBackExactly) {
+  const auto t = MakeTransport(23, 4, 12);
+  const Fragmentation built = MakeFragmentation(t.graph, Fragmenter::kCenter,
+                                                5);
+  {
+    const DsaDatabase fresh(&built);
+    SaveOptions save;
+    save.page_size = kMinPageSize;
+    ASSERT_TRUE(SaveDatabase(fresh, path_, save).ok());
+  }
+
+  OpenOptions paged;
+  paged.mode = OpenMode::kPaged;
+  paged.buffer_pool_frames = 2;
+  Result<StoredDatabase> opened = OpenDatabase(path_, paged);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  const Fragmentation& old_frag = *opened.value().frag;
+
+  // One relaxed edge: halve edge 0's weight, keep every fragment
+  // assignment (so every border set is unchanged and the incremental path
+  // must read every old shortcut relation).
+  std::vector<Edge> edges = opened.value().graph->edges();
+  edges[0].weight /= 2;
+  GraphBuilder builder(opened.value().graph->NumNodes());
+  for (const Edge& e : edges) builder.AddEdge(e.src, e.dst, e.weight);
+  const Graph relaxed_graph = builder.Build();
+  const Fragmentation frag(&relaxed_graph, old_frag.fragment_of_edge(),
+                           old_frag.NumFragments());
+  ComplementaryDelta delta;
+  delta.relaxed.push_back(edges[0]);
+  const ComplementaryInfo expected = PrecomputeComplementary(frag);
+
+  auto refresh = [&] {
+    return RefreshComplementary(frag, old_frag,
+                                opened.value().db->complementary(), delta);
+  };
+
+  // Intact pages: the incremental path reads the old epoch and reuses it.
+  const ComplementaryRefresh intact = refresh();
+  EXPECT_TRUE(intact.fallback_cause.ok()) << intact.fallback_cause.ToString();
+  EXPECT_GT(intact.reused_border_nodes, 0u);
+  ExpectSameShortcuts(intact.info, expected);
+
+  ASSERT_NO_FATAL_FAILURE(CorruptPagesAfterHeader(path_));
+  const ComplementaryRefresh corrupt = refresh();
+  EXPECT_FALSE(corrupt.fallback_cause.ok())
+      << "the corrupt old epoch must force the full recompute";
+  ExpectSameShortcuts(corrupt.info, expected);
+}
+
+TEST_F(PagedRelationTest, ConcurrentProbesAgree) {
+  // Resident relation: BestCost/MaxCost scans from many threads at once
+  // all see every pair.
   Relation rel;
   for (uint32_t i = 0; i < 64; ++i) {
     rel.Add(i % 8, (i + 1) % 8, 1.0 + static_cast<Weight>(i));
@@ -514,19 +582,20 @@ TEST_F(PagedRelationTest, ConcurrentColdLookupsBuildIndexOnce) {
   };
   hammer(rel);
 
-  // Mutation re-arms the lazy build; the next (single-threaded) lookup
-  // sees the new tuple, then the concurrent hammer still agrees.
+  // The next (single-threaded) probe sees a mutation, then the concurrent
+  // hammer still agrees.
   rel.Add(7, 0, 0.25);
   EXPECT_EQ(rel.BestCost(7, 0), 0.25);
   hammer(rel);
 
-  // Paged relation: the cold index build streams tuples through the pool
-  // from every thread at once.
+  // Paged relation: CostPerPair from several threads at once streams the
+  // tuples through the two-frame pool, and every fold equals the fresh
+  // relation's.
   const auto t = MakeTransport(53, 4, 10);
   const Fragmentation frag = MakeFragmentation(t.graph, Fragmenter::kLinear,
                                                2);
   const DsaDatabase fresh(&frag);
-  const std::string path = ::testing::TempDir() + "paged_cold_index.tcfdb";
+  const std::string path = ::testing::TempDir() + "paged_probes.tcfdb";
   SaveOptions save;
   save.page_size = kMinPageSize;
   ASSERT_TRUE(SaveDatabase(fresh, path, save).ok());
@@ -538,22 +607,21 @@ TEST_F(PagedRelationTest, ConcurrentColdLookupsBuildIndexOnce) {
   for (size_t f = 0; f < fresh.complementary().shortcuts.size(); ++f) {
     const Relation& paged_rel =
         opened.value().db->complementary().shortcuts[f];
-    const Relation& fresh_rel = fresh.complementary().shortcuts[f];
-    if (fresh_rel.empty()) continue;
-    const PathTuple probe = fresh_rel.tuples().front();
+    ASSERT_TRUE(paged_rel.is_paged());
+    const PairCosts expected =
+        CostPerPair(fresh.complementary().shortcuts[f]).value();
     std::vector<std::thread> workers;
     std::atomic<int> failures{0};
     for (int w = 0; w < 4; ++w) {
       workers.emplace_back([&] {
-        if (paged_rel.BestCost(probe.src, probe.dst) == kInfinity) {
+        const Result<PairCosts> costs = CostPerPair(paged_rel);
+        if (!costs.ok() || costs.value() != expected) {
           failures.fetch_add(1, std::memory_order_relaxed);
         }
       });
     }
     for (std::thread& w : workers) w.join();
     EXPECT_EQ(failures.load(), 0);
-    EXPECT_EQ(paged_rel.BestCost(probe.src, probe.dst),
-              fresh_rel.BestCost(probe.src, probe.dst));
   }
   std::remove(path.c_str());
 }

@@ -62,13 +62,39 @@ TEST(Relation, BestCostOfAbsentPairIsInfinity) {
   EXPECT_EQ(r.BestCost(5, 6), kInfinity);
 }
 
-TEST(Relation, IndexSurvivesMutationViaRebuild) {
+TEST(Relation, BestCostSeesMutations) {
   Relation r;
   r.Add(0, 1, 2.0);
-  EXPECT_DOUBLE_EQ(r.BestCost(0, 1), 2.0);  // builds index
+  EXPECT_DOUBLE_EQ(r.BestCost(0, 1), 2.0);
   r.Add(0, 2, 4.0);
-  r.AggregateMin();  // invalidates + rebuild on next query
+  r.AggregateMin();
   EXPECT_DOUBLE_EQ(r.BestCost(0, 2), 4.0);
+}
+
+TEST(Relation, CostPerPairFoldsDuplicatesLikeAggregate) {
+  Relation r;
+  r.Add(1, 2, 5.0);
+  r.Add(1, 2, 3.0);
+  r.Add(1, 2, 9.0);
+  r.Add(2, 3, 4.0);
+  r.Add(2, 3, 1.0);
+  for (const bool keep_max : {false, true}) {
+    Result<PairCosts> costs = CostPerPair(r, keep_max);
+    ASSERT_TRUE(costs.ok());
+    EXPECT_EQ(costs.value().at(PairKey(1, 2)), keep_max ? 9.0 : 3.0);
+    EXPECT_EQ(costs.value().at(PairKey(2, 3)), keep_max ? 4.0 : 1.0);
+
+    Relation aggregated = r;
+    if (keep_max) {
+      aggregated.AggregateMax();
+    } else {
+      aggregated.AggregateMin();
+    }
+    ASSERT_EQ(costs.value().size(), aggregated.size());
+    for (const PathTuple& t : aggregated.tuples()) {
+      EXPECT_EQ(costs.value().at(PairKey(t.src, t.dst)), t.cost);
+    }
+  }
 }
 
 TEST(Relation, SortCanonicalOrdersTuples) {
