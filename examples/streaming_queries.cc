@@ -2,15 +2,12 @@
 // submit single shortest-path queries and get futures back, while the
 // QueryService coalesces the concurrent arrivals into micro-batches that
 // run on the batch executor — so the clients transparently share subquery
-// work and cached plans. A second round swaps the backend for a
-// message-passing SiteNetwork without touching the client code: the
-// backend seam in action.
+// work and cached plans.
 #include <cstdio>
 #include <thread>
 #include <vector>
 
 #include "dsa/service.h"
-#include "dsa/sites.h"
 #include "dsa/workload.h"
 #include "fragment/linear.h"
 #include "graph/generator.h"
@@ -76,27 +73,13 @@ int main() {
   // thread; pin it when you want deterministic batch shapes instead.
   opts.flush_workers = 0;
 
-  // Round 1: the in-process database backend.
-  {
-    DsaDatabase db(&frag);
-    QueryService service(&db, opts);
-    std::printf("streaming against the in-process database (%zu flush "
-                "workers):\n",
-                service.num_flush_workers());
-    RunClients(&service, frag, 4, 500);
-    service.Shutdown();
-    PrintStats("database backend", service.Stats());
-  }
-
-  // Round 2: identical clients, message-passing backend.
-  {
-    SiteNetwork net(&frag);
-    SiteNetworkBackend backend(&net);
-    QueryService service(&backend, opts);
-    std::printf("streaming against the message-passing site network:\n");
-    RunClients(&service, frag, 4, 250);
-    service.Shutdown();
-    PrintStats("site-network backend", service.Stats());
-  }
+  DsaDatabase db(&frag);
+  QueryService service(&db, opts);
+  std::printf("streaming against the in-process database (%zu flush "
+              "workers):\n",
+              service.num_flush_workers());
+  RunClients(&service, frag, 4, 500);
+  service.Shutdown();
+  PrintStats("database backend", service.Stats());
   return 0;
 }

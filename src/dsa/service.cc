@@ -5,8 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "dsa/sites.h"
-
 namespace tcf {
 
 namespace {
@@ -92,15 +90,6 @@ BatchStats MaintainedBackend::cumulative_stats() const {
 uint64_t MaintainedBackend::ApplyUpdates(
     const std::vector<EdgeUpdate>& updates) {
   return mdb_->ApplyEpoch(updates).epoch;
-}
-
-std::vector<Result<Weight>> SiteNetworkBackend::ExecuteBatch(
-    const std::vector<Query>& queries) {
-  std::vector<std::pair<NodeId, NodeId>> pairs;
-  pairs.reserve(queries.size());
-  for (const Query& q : queries) pairs.emplace_back(q.from, q.to);
-  const std::vector<Weight> costs = net_->BatchShortestPathCosts(pairs);
-  return std::vector<Result<Weight>>(costs.begin(), costs.end());
 }
 
 namespace {

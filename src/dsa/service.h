@@ -50,12 +50,11 @@
 // service clock after joining every worker, so post-shutdown Stats() is
 // stable.
 //
-// The backend seam (ServiceBackend) is what makes the flush workers
-// deployment-agnostic: DatabaseBackend drives the in-process DsaDatabase
-// via BatchExecutor; MaintainedBackend drives a MaintainedDatabase, pinning
-// the current epoch snapshot per micro-batch; SiteNetworkBackend drives a
-// message-passing SiteNetwork coordinator — the protocol seed for the
-// multi-process direction in ROADMAP.md.
+// The backend seam (ServiceBackend) is where micro-batches execute:
+// DatabaseBackend drives the in-process DsaDatabase via BatchExecutor;
+// MaintainedBackend drives a MaintainedDatabase, pinning the current epoch
+// snapshot per micro-batch. A caller may also hand the service its own
+// backend, e.g. to wrap one of these with instrumentation.
 //
 // Update lane. Services over an updatable backend additionally accept
 // SubmitUpdate(EdgeUpdate): updates queue beside the query stream and a
@@ -93,14 +92,11 @@
 
 namespace tcf {
 
-class SiteNetwork;
-
 /// Where admitted micro-batches execute. ExecuteBatch may be called
 /// CONCURRENTLY from the service's flush workers, so implementations must
-/// be re-entrant or serialize internally (BatchExecutor is re-entrant;
-/// SiteNetwork serializes its coordinator internally). ApplyUpdates is
-/// called only from the service's single update-applier thread, one epoch
-/// at a time, but concurrently with ExecuteBatch calls.
+/// be re-entrant or serialize internally (BatchExecutor is re-entrant).
+/// ApplyUpdates is called only from the service's single update-applier
+/// thread, one epoch at a time, but concurrently with ExecuteBatch calls.
 class ServiceBackend {
  public:
   virtual ~ServiceBackend() = default;
@@ -179,21 +175,6 @@ class MaintainedBackend : public ServiceBackend {
   mutable std::mutex stats_mutex_;
   BatchStats cumulative_;
   std::atomic<uint64_t> last_batch_epoch_{0};
-};
-
-/// Message-passing backend: micro-batches go through the SiteNetwork
-/// coordinator's batched fan-out protocol (serialized by the coordinator's
-/// own mutex, so concurrent flush workers are safe, just not parallel).
-/// `net` must outlive the backend.
-class SiteNetworkBackend : public ServiceBackend {
- public:
-  explicit SiteNetworkBackend(SiteNetwork* net) : net_(net) {}
-
-  std::vector<Result<Weight>> ExecuteBatch(
-      const std::vector<Query>& queries) override;
-
- private:
-  SiteNetwork* net_;
 };
 
 /// Micro-batching policy of the admission loop; see the header comment.
@@ -292,8 +273,7 @@ class QueryService {
   /// pin epoch snapshots and SubmitUpdate works. `mdb` must outlive the
   /// service.
   explicit QueryService(MaintainedDatabase* mdb, ServiceOptions options = {});
-  /// Serve an external backend (e.g. SiteNetworkBackend). `backend` must
-  /// outlive the service.
+  /// Serve an external backend. `backend` must outlive the service.
   explicit QueryService(ServiceBackend* backend, ServiceOptions options = {});
   /// Shuts down (draining) if Shutdown() was not called explicitly.
   ~QueryService();

@@ -7,19 +7,11 @@
 
 namespace tcf {
 
-SiteNetwork::SiteNetwork(const Fragmentation* frag, LocalEngine engine,
-                         SiteTransportKind transport)
+SiteNetwork::SiteNetwork(const Fragmentation* frag, LocalEngine engine)
     : frag_(frag), engine_(engine) {
   TCF_CHECK(frag != nullptr);
   complementary_ = PrecomputeComplementary(*frag_);
-  if (transport == SiteTransportKind::kSocket) {
-    Result<std::unique_ptr<SiteTransport>> made =
-        MakeSocketSiteTransport(frag_->NumFragments());
-    TCF_CHECK_MSG(made.ok(), made.status().ToString());
-    transport_ = std::move(made).value();
-  } else {
-    transport_ = MakeInProcessSiteTransport(frag_->NumFragments());
-  }
+  mailboxes_ = std::vector<Channel<SubqueryMessage>>(frag_->NumFragments());
   sites_.reserve(frag_->NumFragments());
   for (FragmentId f = 0; f < frag_->NumFragments(); ++f) {
     sites_.emplace_back([this, f]() { SiteLoop(f); });
@@ -29,24 +21,25 @@ SiteNetwork::SiteNetwork(const Fragmentation* frag, LocalEngine engine,
 }
 
 SiteNetwork::~SiteNetwork() {
-  transport_->Shutdown();
+  // No protocol round can be in flight here, so closing the mailboxes
+  // only ends the idle site loops.
+  for (auto& mailbox : mailboxes_) mailbox.Close();
   for (auto& site : sites_) site.join();
 }
 
 void SiteNetwork::SiteLoop(FragmentId fragment) {
   while (true) {
-    std::optional<SiteWireSubquery> message =
-        transport_->ReceiveSubquery(fragment);
-    if (!message.has_value()) return;  // transport shut down
+    std::optional<SubqueryMessage> message = mailboxes_[fragment].Receive();
+    if (!message.has_value()) return;  // mailbox closed
     // Phase 1: purely local work — the site touches only its own fragment
     // and its own complementary relation; no other site is contacted.
     LocalQueryResult local =
         RunLocalQuery(*frag_, &complementary_, message->spec, engine_);
-    SiteWireResult result;
+    ResultMessage result;
     result.request_id = message->request_id;
     result.fragment = fragment;
     result.paths = std::move(local.paths);
-    transport_->SendResult(fragment, std::move(result));
+    coordinator_inbox_.Send(std::move(result));
   }
 }
 
@@ -89,24 +82,30 @@ std::vector<Weight> SiteNetwork::BatchShortestPathCosts(
   const uint64_t base_request_id = next_request_id_;
   next_request_id_ += flat_specs.size();
   for (size_t s = 0; s < flat_specs.size(); ++s) {
-    SiteWireSubquery message;
+    SubqueryMessage message;
     message.request_id = base_request_id + s;
     message.spec = flat_specs[s];
-    transport_->SendSubquery(flat_specs[s].fragment, std::move(message));
+    mailboxes_[flat_specs[s].fragment].Send(std::move(message));
     ++traffic->subquery_messages;
   }
 
   // Phase 2: collect the (small) result relations of the whole batch,
-  // back into spec order.
+  // back into spec order. The request id says which site each subquery
+  // was addressed to; a result from any other site would mean the work
+  // passed between sites.
   std::vector<LocalQueryResult> results(flat_specs.size());
   size_t outstanding = flat_specs.size();
   while (outstanding > 0) {
-    std::optional<SiteWireResult> result = transport_->ReceiveResult();
+    std::optional<ResultMessage> result = coordinator_inbox_.Receive();
     TCF_CHECK(result.has_value());
+    const uint64_t spec_index = result->request_id - base_request_id;
+    TCF_CHECK(spec_index < flat_specs.size());
     ++traffic->result_messages;
+    if (result->fragment != flat_specs[spec_index].fragment) {
+      ++traffic->inter_site_messages;
+    }
     traffic->result_tuples += result->paths.size();
-    results[result->request_id - base_request_id].paths =
-        std::move(result->paths);
+    results[spec_index].paths = std::move(result->paths);
     --outstanding;
   }
 

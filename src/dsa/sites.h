@@ -10,6 +10,7 @@
 // joins."
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -18,25 +19,21 @@
 
 #include "dsa/chains.h"
 #include "dsa/local_query.h"
-#include "net/site_transport.h"
+#include "util/channel.h"
 
 namespace tcf {
 
 class ThreadPool;
-
-/// Which fabric carries the coordinator/site messages (the protocol on
-/// top is identical — see net/site_transport.h).
-enum class SiteTransportKind {
-  kInProcess,  // per-site Channel mailboxes (simulation default)
-  kSocket,     // one loopback TCP connection per site, real wire frames
-};
 
 /// Communication accounting for one query, by protocol phase.
 struct SiteTraffic {
   size_t subquery_messages = 0;       // coordinator -> sites (phase 0)
   size_t result_messages = 0;         // sites -> coordinator (phase 2)
   size_t result_tuples = 0;           // tuple volume of phase 2
-  size_t inter_site_messages = 0;     // site <-> site (must stay 0!)
+  /// Results answered by a site other than the one the subquery was
+  /// addressed to: the only way a message could pass between sites in
+  /// this fabric (a site forwarding work to another). Must stay 0.
+  size_t inter_site_messages = 0;
 };
 
 /// A network of per-fragment site threads plus a coordinator-side API.
@@ -52,12 +49,8 @@ class SiteNetwork {
   /// Spawns one thread per fragment. `frag` must outlive the network; the
   /// complementary information is precomputed here (one copy per site in
   /// a real deployment; shared read-only storage in the simulation).
-  /// `transport` picks the message fabric; kSocket runs every subquery
-  /// and result through the tcfrag wire codec over loopback TCP.
   explicit SiteNetwork(const Fragmentation* frag,
-                       LocalEngine engine = LocalEngine::kDijkstra,
-                       SiteTransportKind transport =
-                           SiteTransportKind::kInProcess);
+                       LocalEngine engine = LocalEngine::kDijkstra);
   ~SiteNetwork();
 
   SiteNetwork(const SiteNetwork&) = delete;
@@ -83,15 +76,28 @@ class SiteNetwork {
       SiteTraffic* traffic = nullptr);
 
  private:
+  /// Coordinator -> site: run this local query, tag the answer with the id.
+  struct SubqueryMessage {
+    uint64_t request_id = 0;
+    LocalQuerySpec spec;
+  };
+  /// Site -> coordinator: the phase-1 result relation for one subquery.
+  struct ResultMessage {
+    uint64_t request_id = 0;
+    FragmentId fragment = 0;
+    Relation paths;
+  };
+
   void SiteLoop(FragmentId fragment);
 
   const Fragmentation* frag_;
   LocalEngine engine_;
   ComplementaryInfo complementary_;
-  /// The message fabric (mailboxes or loopback sockets); every subquery
-  /// and result crosses it — SiteNetwork itself never hands a site a
-  /// pointer.
-  std::unique_ptr<SiteTransport> transport_;
+  /// The message fabric: one mailbox per site and one coordinator inbox.
+  /// Every subquery and result crosses it — SiteNetwork never hands a
+  /// site a pointer.
+  std::vector<Channel<SubqueryMessage>> mailboxes_;
+  Channel<ResultMessage> coordinator_inbox_;
   std::vector<std::thread> sites_;
 
   /// Serializes the coordinator protocol (mailbox fan-out + inbox drain):

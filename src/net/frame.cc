@@ -14,8 +14,6 @@ const char* MessageTypeName(MessageType type) {
     case MessageType::kUpdateRequest: return "UpdateRequest";
     case MessageType::kUpdateResponse: return "UpdateResponse";
     case MessageType::kError: return "Error";
-    case MessageType::kSiteSubquery: return "SiteSubquery";
-    case MessageType::kSiteResult: return "SiteResult";
   }
   return "Unknown";
 }

@@ -35,8 +35,7 @@ inline constexpr uint32_t kFrameMagic = 0x54434652;  // "TCFR"
 inline constexpr uint8_t kProtocolVersion = 1;
 inline constexpr size_t kFrameHeaderSize = 20;
 /// Hard codec-level payload cap; endpoints usually configure a tighter
-/// one (ServerOptions::max_payload_bytes). Site-transport result
-/// relations are the biggest legitimate payloads.
+/// one (ServerOptions::max_payload_bytes).
 inline constexpr size_t kMaxPayloadBytes = 16u << 20;
 
 /// Every message kind that can travel in a frame.
@@ -48,8 +47,8 @@ enum class MessageType : uint8_t {
   kUpdateRequest = 5,  // one EdgeUpdate
   kUpdateResponse = 6, // the epoch that applied it
   kError = 7,          // clean failure of the echoed request id
-  kSiteSubquery = 8,   // coordinator -> site (net/site_transport.h)
-  kSiteResult = 9,     // site -> coordinator
+  // 8 and 9 are retired and never reused: a peer answers them as unknown
+  // types (docs/PROTOCOL.md §2).
 };
 
 const char* MessageTypeName(MessageType type);

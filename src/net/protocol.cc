@@ -17,28 +17,6 @@ Status ExpectExhausted(const WireReader& r) {
   return Status::OK();
 }
 
-void AppendNodeSet(const NodeSet& nodes, WireWriter* w) {
-  w->PutU32(static_cast<uint32_t>(nodes.size()));
-  for (NodeId v : nodes) w->PutU32(v);
-}
-
-Status ReadNodeSet(WireReader* r, NodeSet* out) {
-  uint32_t count = 0;
-  if (!r->ReadU32(&count)) return Malformed("node-set count");
-  // The announced count must be backed by bytes BEFORE any allocation.
-  if (static_cast<size_t>(count) * sizeof(NodeId) > r->remaining()) {
-    return Malformed("node-set count exceeds payload");
-  }
-  out->clear();
-  out->reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    NodeId v = 0;
-    if (!r->ReadU32(&v)) return Malformed("node-set entry");
-    out->insert(v);
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 Status ErrorResponseMsg::ToStatus() const {
@@ -153,57 +131,6 @@ Status DecodeErrorResponse(std::string_view payload, ErrorResponseMsg* out) {
   out->code = code > static_cast<uint8_t>(StatusCode::kIOError)
                   ? StatusCode::kInternal
                   : static_cast<StatusCode>(code);
-  return ExpectExhausted(r);
-}
-
-std::string EncodeSiteSubquery(const SiteSubqueryMsg& msg) {
-  WireWriter w;
-  w.PutU32(msg.spec.fragment);
-  AppendNodeSet(msg.spec.sources, &w);
-  AppendNodeSet(msg.spec.targets, &w);
-  return w.TakeBuffer();
-}
-
-Status DecodeSiteSubquery(std::string_view payload, SiteSubqueryMsg* out) {
-  WireReader r(payload);
-  if (!r.ReadU32(&out->spec.fragment)) return Malformed("subquery truncated");
-  TCF_RETURN_NOT_OK(ReadNodeSet(&r, &out->spec.sources));
-  TCF_RETURN_NOT_OK(ReadNodeSet(&r, &out->spec.targets));
-  return ExpectExhausted(r);
-}
-
-std::string EncodeSiteResult(const SiteResultMsg& msg) {
-  WireWriter w;
-  w.PutU32(msg.fragment);
-  w.PutU32(static_cast<uint32_t>(msg.paths.size()));
-  for (const PathTuple& t : msg.paths.tuples()) {
-    w.PutU32(t.src);
-    w.PutU32(t.dst);
-    w.PutF64(t.cost);
-  }
-  return w.TakeBuffer();
-}
-
-Status DecodeSiteResult(std::string_view payload, SiteResultMsg* out) {
-  WireReader r(payload);
-  uint32_t count = 0;
-  if (!r.ReadU32(&out->fragment) || !r.ReadU32(&count)) {
-    return Malformed("site result truncated");
-  }
-  constexpr size_t kTupleWireSize = 2 * sizeof(uint32_t) + sizeof(double);
-  if (static_cast<size_t>(count) * kTupleWireSize > r.remaining()) {
-    return Malformed("tuple count exceeds payload");
-  }
-  std::vector<PathTuple> tuples;
-  tuples.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    PathTuple t;
-    if (!r.ReadU32(&t.src) || !r.ReadU32(&t.dst) || !r.ReadF64(&t.cost)) {
-      return Malformed("tuple truncated");
-    }
-    tuples.push_back(t);
-  }
-  out->paths = Relation(std::move(tuples));
   return ExpectExhausted(r);
 }
 

@@ -6,18 +6,12 @@
 // are an error: a frame that frames more than its message is malformed).
 // A decode failure is a clean Status and fails only the one request that
 // carried it.
-//
-// Size-prefixed collections (node sets, relations) additionally check the
-// announced element count against the bytes actually present BEFORE
-// reserving memory, so a hostile count cannot drive an allocation the
-// payload could never back.
 #pragma once
 
 #include <string>
 #include <string_view>
 
 #include "dsa/batch.h"
-#include "dsa/local_query.h"
 #include "dsa/maintenance.h"
 #include "util/status.h"
 
@@ -78,25 +72,5 @@ Status DecodeUpdateResponse(std::string_view payload, UpdateResponseMsg* out);
 
 std::string EncodeErrorResponse(const ErrorResponseMsg& msg);
 Status DecodeErrorResponse(std::string_view payload, ErrorResponseMsg* out);
-
-// ------------------------------------------------------- coordinator <-> site
-
-/// Phase-0 message of the distributed protocol: one keyhole subquery for
-/// one site (net/site_transport.h carries it over sockets).
-struct SiteSubqueryMsg {
-  LocalQuerySpec spec;
-};
-
-/// Phase-2 message: the site's small border-to-border path relation.
-struct SiteResultMsg {
-  FragmentId fragment = 0;
-  Relation paths;
-};
-
-std::string EncodeSiteSubquery(const SiteSubqueryMsg& msg);
-Status DecodeSiteSubquery(std::string_view payload, SiteSubqueryMsg* out);
-
-std::string EncodeSiteResult(const SiteResultMsg& msg);
-Status DecodeSiteResult(std::string_view payload, SiteResultMsg* out);
 
 }  // namespace tcf

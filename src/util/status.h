@@ -91,6 +91,8 @@ class Result {
   /*implicit*/ Result(Status status) : status_(std::move(status)) {}
 
   bool ok() const { return value_.has_value(); }
+  /// OK when a value is held, so TCF_RETURN_NOT_OK(r.status()) passes a
+  /// success through.
   const Status& status() const { return status_; }
 
   /// Access the contained value. Aborts if !ok(); check ok() first or use
@@ -122,7 +124,7 @@ class Result {
   }
 
   std::optional<T> value_;
-  Status status_ = Status::Internal("empty Result");
+  Status status_;  // default-constructed: OK
 };
 
 namespace internal {

@@ -213,26 +213,32 @@ TEST_F(DaemonTest, BadEndpointFailsOnlyItsOwnReply) {
 
 TEST_F(DaemonTest, UnknownMessageTypeFailsOnlyThatRequest) {
   // Speak the framing by hand: an unknown type must produce a kError
-  // echoing the request id, and the connection keeps working.
+  // echoing the request id, and the connection keeps working. 8 and 9 are
+  // retired types (docs/PROTOCOL.md) and must be answered the same way.
   Result<Socket> raw = ConnectTcp("127.0.0.1", port());
   ASSERT_TRUE(raw.ok());
   const Socket& sock = raw.value();
-  std::string frame = EncodeFrame(MessageType::kPing, 77, "");
-  frame[5] = static_cast<char>(0x6e);  // no such type
-  ASSERT_TRUE(WriteAll(sock, frame.data(), frame.size()).ok());
+  uint64_t id = 77;
+  for (uint8_t type : {uint8_t{0x6e}, uint8_t{8}, uint8_t{9}}) {
+    SCOPED_TRACE(static_cast<int>(type));
+    std::string frame = EncodeFrame(MessageType::kPing, id, "");
+    frame[5] = static_cast<char>(type);
+    ASSERT_TRUE(WriteAll(sock, frame.data(), frame.size()).ok());
 
-  Result<Frame> reply = ReadFrame(sock, kMaxPayloadBytes);
-  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-  EXPECT_EQ(reply.value().header.type, MessageType::kError);
-  EXPECT_EQ(reply.value().header.request_id, 77u);
+    Result<Frame> reply = ReadFrame(sock, kMaxPayloadBytes);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    EXPECT_EQ(reply.value().header.type, MessageType::kError);
+    EXPECT_EQ(reply.value().header.request_id, id);
 
-  // Same socket still answers a well-formed ping.
-  const std::string ping = EncodeFrame(MessageType::kPing, 78, "");
-  ASSERT_TRUE(WriteAll(sock, ping.data(), ping.size()).ok());
-  Result<Frame> pong = ReadFrame(sock, kMaxPayloadBytes);
-  ASSERT_TRUE(pong.ok());
-  EXPECT_EQ(pong.value().header.type, MessageType::kPong);
-  EXPECT_EQ(pong.value().header.request_id, 78u);
+    // Same socket still answers a well-formed ping.
+    const std::string ping = EncodeFrame(MessageType::kPing, id + 1, "");
+    ASSERT_TRUE(WriteAll(sock, ping.data(), ping.size()).ok());
+    Result<Frame> pong = ReadFrame(sock, kMaxPayloadBytes);
+    ASSERT_TRUE(pong.ok());
+    EXPECT_EQ(pong.value().header.type, MessageType::kPong);
+    EXPECT_EQ(pong.value().header.request_id, id + 1);
+    id += 2;
+  }
 }
 
 TEST_F(DaemonTest, MalformedPayloadFailsOnlyThatRequest) {

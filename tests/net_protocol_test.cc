@@ -211,29 +211,6 @@ TEST(Frame, UnknownTypeParses) {
 
 // ------------------------------------------------- message round trips
 
-NodeSet RandomNodeSet(Rng* rng, size_t max_size) {
-  NodeSet s;
-  const size_t n = rng->NextBounded(max_size + 1);
-  for (size_t i = 0; i < n; ++i) {
-    s.insert(static_cast<NodeId>(rng->NextBounded(1u << 20)));
-  }
-  return s;
-}
-
-Relation RandomRelation(Rng* rng, size_t max_size) {
-  std::vector<PathTuple> tuples;
-  const size_t n = rng->NextBounded(max_size + 1);
-  tuples.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    PathTuple t;
-    t.src = static_cast<NodeId>(rng->NextBounded(1u << 16));
-    t.dst = static_cast<NodeId>(rng->NextBounded(1u << 16));
-    t.cost = static_cast<double>(rng->NextBounded(1u << 20)) / 1024.0;
-    tuples.push_back(t);
-  }
-  return Relation(std::move(tuples));
-}
-
 TEST(Protocol, QueryRequestRoundTrip) {
   Rng rng(41);
   for (int i = 0; i < 200; ++i) {
@@ -306,41 +283,6 @@ TEST(Protocol, ErrorResponseRoundTrip) {
   EXPECT_TRUE(back.message.empty());
 }
 
-TEST(Protocol, SiteSubqueryRoundTrip) {
-  Rng rng(47);
-  for (int i = 0; i < 100; ++i) {
-    SiteSubqueryMsg msg;
-    msg.spec.fragment = static_cast<FragmentId>(rng.NextBounded(64));
-    msg.spec.sources = RandomNodeSet(&rng, 64);
-    msg.spec.targets = RandomNodeSet(&rng, 64);
-    SiteSubqueryMsg back;
-    ASSERT_TRUE(DecodeSiteSubquery(EncodeSiteSubquery(msg), &back).ok());
-    EXPECT_EQ(back.spec.fragment, msg.spec.fragment);
-    EXPECT_EQ(back.spec.sources, msg.spec.sources);
-    EXPECT_EQ(back.spec.targets, msg.spec.targets);
-  }
-  // Empty node sets are legal (and common for border selections).
-  SiteSubqueryMsg empty, back;
-  empty.spec.fragment = 3;
-  ASSERT_TRUE(DecodeSiteSubquery(EncodeSiteSubquery(empty), &back).ok());
-  EXPECT_TRUE(back.spec.sources.empty());
-  EXPECT_TRUE(back.spec.targets.empty());
-}
-
-TEST(Protocol, SiteResultRoundTrip) {
-  Rng rng(53);
-  for (int i = 0; i < 100; ++i) {
-    SiteResultMsg msg;
-    msg.fragment = static_cast<FragmentId>(rng.NextBounded(64));
-    msg.paths = RandomRelation(&rng, 128);
-    SiteResultMsg back;
-    ASSERT_TRUE(DecodeSiteResult(EncodeSiteResult(msg), &back).ok());
-    EXPECT_EQ(back.fragment, msg.fragment);
-    ASSERT_EQ(back.paths.size(), msg.paths.size());
-    EXPECT_EQ(back.paths.tuples(), msg.paths.tuples());
-  }
-}
-
 TEST(Protocol, TrailingBytesRejected) {
   // A payload with ANY suffix after its message is malformed — a frame
   // frames exactly one message.
@@ -351,28 +293,6 @@ TEST(Protocol, TrailingBytesRejected) {
       EncodeUpdateRequest({EdgeUpdate::Insert(1, 2, 1.0)});
   UpdateRequestMsg um;
   EXPECT_FALSE(DecodeUpdateRequest(update + std::string(1, '\0'), &um).ok());
-  SiteResultMsg site_msg;
-  site_msg.fragment = 2;
-  const std::string site = EncodeSiteResult(site_msg);
-  SiteResultMsg sm;
-  EXPECT_FALSE(DecodeSiteResult(site + "abc", &sm).ok());
-}
-
-TEST(Protocol, HostileCountsRejectedBeforeAllocation) {
-  // A node-set count far beyond the bytes present must fail the decode
-  // (BEFORE any reserve) rather than drive a giant allocation.
-  WireWriter w;
-  w.PutU32(2);           // fragment
-  w.PutU32(0xffffffff);  // sources count: 4 billion...
-  w.PutU32(1);           // ...backed by one entry
-  SiteSubqueryMsg out;
-  EXPECT_FALSE(DecodeSiteSubquery(w.buffer(), &out).ok());
-
-  WireWriter w2;
-  w2.PutU32(1);           // fragment
-  w2.PutU32(0x10000000);  // tuple count nothing could back
-  SiteResultMsg rout;
-  EXPECT_FALSE(DecodeSiteResult(w2.buffer(), &rout).ok());
 }
 
 TEST(Protocol, BadEnumsRejected) {
@@ -444,16 +364,6 @@ void DecodeDispatch(const std::vector<uint8_t>& bytes) {
       (void)DecodeErrorResponse(payload, &m);
       break;
     }
-    case MessageType::kSiteSubquery: {
-      SiteSubqueryMsg m;
-      (void)DecodeSiteSubquery(payload, &m);
-      break;
-    }
-    case MessageType::kSiteResult: {
-      SiteResultMsg m;
-      (void)DecodeSiteResult(payload, &m);
-      break;
-    }
     default:
       break;
   }
@@ -482,17 +392,6 @@ std::vector<std::vector<uint8_t>> SeedCorpus() {
   corpus.push_back(AsBytes(EncodeFrame(
       MessageType::kError, 6,
       EncodeErrorResponse({StatusCode::kInvalidArgument, "bad request"}))));
-  SiteSubqueryMsg sub;
-  sub.spec.fragment = 2;
-  sub.spec.sources = {1, 2, 3};
-  sub.spec.targets = {4, 5};
-  corpus.push_back(AsBytes(
-      EncodeFrame(MessageType::kSiteSubquery, 7, EncodeSiteSubquery(sub))));
-  SiteResultMsg res;
-  res.fragment = 2;
-  res.paths = Relation({{1, 4, 0.5}, {2, 5, 1.5}});
-  corpus.push_back(AsBytes(
-      EncodeFrame(MessageType::kSiteResult, 8, EncodeSiteResult(res))));
   return corpus;
 }
 

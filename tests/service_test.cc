@@ -7,8 +7,8 @@
 // backpressure), the parallel flush pool keeps ServiceStats totals
 // scheduling-independent across worker counts (with elapsed_seconds frozen
 // at shutdown), hostile update weights fail their own future, and the
-// backend seam serves both the in-process database and the message-passing
-// SiteNetwork.
+// backend seam serves the in-process database and caller-supplied
+// backends.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -22,7 +22,6 @@
 
 #include "dsa/maintenance.h"
 #include "dsa/service.h"
-#include "dsa/sites.h"
 #include "dsa/workload.h"
 #include "fragment/linear.h"
 #include "graph/generator.h"
@@ -596,24 +595,6 @@ TEST(QueryService, LatencySampleCapBoundsStoredSamples) {
   EXPECT_EQ(stats.latency_seconds.count(), queries.size());
   EXPECT_LE(stats.latency_seconds.samples().size(), 32u);
   EXPECT_GT(stats.LatencyPercentileMs(99), 0.0);
-}
-
-TEST(QueryService, SiteNetworkBackendMatchesOracle) {
-  Fixture fx(307);
-  SiteNetwork net(fx.frag.get());
-  SiteNetworkBackend backend(&net);
-  ServiceOptions opts;
-  opts.max_batch = 32;
-  opts.max_wait = std::chrono::microseconds(500);
-  QueryService service(&backend, opts);
-
-  const std::vector<Query> queries = fx.Workload(80, 11);
-  std::vector<std::future<Weight>> futures = service.SubmitBatch(queries);
-  for (size_t i = 0; i < queries.size(); ++i) {
-    ExpectOracle(fx, queries[i].from, queries[i].to, futures[i].get());
-  }
-  service.Shutdown();
-  EXPECT_EQ(service.Stats().completed, queries.size());
 }
 
 TEST(QueryService, OpenLoopArrivalsUniformAndBursty) {

@@ -339,6 +339,21 @@ TEST(Result, HoldsValue) {
   EXPECT_EQ(r.value_or(0), 42);
 }
 
+Status ForwardStatus(const Result<int>& r) {
+  TCF_RETURN_NOT_OK(r.status());
+  return Status::OK();
+}
+
+TEST(Result, StatusIsOkWhenAValueIsHeld) {
+  // A held value reads as success through status() too, so the usual
+  // TCF_RETURN_NOT_OK(r.status()) passes it through.
+  const Result<int> r(42);
+  EXPECT_TRUE(r.status().ok());
+  EXPECT_TRUE(ForwardStatus(r).ok());
+  EXPECT_EQ(ForwardStatus(Result<int>(Status::NotFound("nope"))).code(),
+            StatusCode::kNotFound);
+}
+
 TEST(Result, HoldsError) {
   Result<int> r(Status::NotFound("nope"));
   EXPECT_FALSE(r.ok());
